@@ -36,6 +36,7 @@ from .permanents import (
     multipermanent_batch,
     output_probability,
     permanent,
+    permanent_batch,
     permanent_naive,
     permanent_ryser,
 )

@@ -54,10 +54,6 @@ class TransferMatrix:
         return self.matrix.shape[0]
 
     @property
-    def is_unitary(self) -> bool:
-        return True  # enforced at construction
-
-    @property
     def n_ancilla(self) -> int:
         return len(self.loss_modes)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -117,8 +116,7 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     entries = _require(config, "scenarios", args.config)
     scenarios = [_scenario_from(e, i) for i, e in enumerate(entries)]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(protocol.evaluate_scenario, scenarios))
+    rows = [protocol.evaluate_scenario(s) for s in scenarios]
     write_rows(rows, config, args.out, args.format)
     return EXIT_OK
 
@@ -155,8 +153,7 @@ def cmd_sweep(args) -> int:
     if kind == "raw_visibility":
         models = tuple(config.get("models", ["multipermanent", "pure_dephasing", "multipermanent_g2"]))
         g2 = float(config.get("g2", 0.0))
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_visibility_row(float(v), models, g2), grid))
+        rows = [_sweep_visibility_row(float(v), models, g2) for v in grid]
     elif kind == "polarization":
         rows = protocol.polarization_bounds(grid)
     elif kind in ("first_bs", "second_bs", "final_bs"):
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path ('-' for stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--seed", type=int, default=None, help="seed for stochastic steps")
-        p.add_argument("--workers", type=int, default=1, help="worker threads for sweeps")
 
     p_sim = sub.add_parser("simulate", help="evaluate scenarios from a config file")
     p_sim.add_argument("--config", required=True)

@@ -1,17 +1,23 @@
 """Permanent and multipermanent kernels.
 
 These turn circuit submatrices and internal-state overlap data into
-detection probabilities for (partially distinguishable) photons. The
-multipermanent is the double-permutation sum
+detection probabilities for (partially distinguishable) photons.
+
+`permanent_batch` is the one permanent kernel: Ryser's formula over all
+column subsets of a stack of matrices at once. Click-signature
+probabilities (`protocol.signature_probability`) need nothing else.
+`permanent_naive` is the permutation-sum cross-check.
+
+The probability of one Fock output (`output_probability`) needs the
+multipermanent, the double-permutation sum
 
     Perm(W) = sum_{sigma, rho} prod_j W[sigma_j, rho_j, j],
     W[k, l, j] = A[k, j] * conj(A[l, j]) * S[l, k],
 
 where A is photon-major (row k = input photon k, column j = output slot j)
-and S is the Gram matrix of the photons' internal states. Two kernels are
-provided: a direct double-permutation sum, O(n! ** 2) terms, and a
-double inclusion-exclusion variant, O(4 ** n * n), for larger photon
-numbers.
+and S is the Gram matrix of the photons' internal states. Double
+inclusion-exclusion turns it into a signed sum of 2 ** n permanents from
+the same kernel, O(4 ** n * n).
 """
 
 from __future__ import annotations
@@ -29,15 +35,11 @@ REAL_TOL = 1e-10
 PSD_TOL = 1e-9
 PROB_TOL = 1e-9
 
-# Above this photon number the inclusion-exclusion kernel takes over by
-# default; the factorial-squared sum is kept as the small-n reference.
-NAIVE_KERNEL_MAX = 4
-
 
 def permanent_naive(a: np.ndarray) -> complex:
     """Matrix permanent by direct permutation sum, O(n * n!).
 
-    Reference implementation; use `permanent_ryser` beyond n ~ 8.
+    Reference implementation; use `permanent` beyond n ~ 8.
     """
     a = _square(a)
     n = a.shape[0]
@@ -50,39 +52,58 @@ def permanent_naive(a: np.ndarray) -> complex:
     return complex(total)
 
 
-def permanent_ryser(a: np.ndarray) -> complex:
-    """Matrix permanent by Ryser's inclusion-exclusion formula with Gray-code
-    subset updates, O(2**n * n)."""
-    a = _square(a)
-    n = a.shape[0]
-    if n == 1:
-        return complex(a[0, 0])
-    row_sum = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    gray = 0
-    for step in range(1, 1 << n):
-        new_gray = step ^ (step >> 1)
-        bit = (new_gray ^ gray).bit_length() - 1
-        if new_gray & (1 << bit):
-            row_sum += a[:, bit]
-        else:
-            row_sum -= a[:, bit]
-        gray = new_gray
-        sign = -1.0 if (bin(gray).count("1") & 1) else 1.0
-        total += sign * np.prod(row_sum)
-    return complex(total * ((-1.0) ** n))
+# Subset tables of at most 2**BLOCK_BITS columns; larger permanents walk
+# the remaining columns' subsets one block at a time.
+BLOCK_BITS = 10
 
 
-def permanent(a: np.ndarray, method: str = "auto") -> complex:
-    """Matrix permanent; `method` is one of auto, naive, ryser."""
-    if method == "naive":
-        return permanent_naive(a)
-    if method == "ryser":
-        return permanent_ryser(a)
-    if method == "auto":
-        a = _square(a)
-        return permanent_naive(a) if a.shape[0] <= 5 else permanent_ryser(a)
-    raise ValueError(f"unknown permanent method {method!r}")
+@lru_cache(maxsize=None)
+def _ryser_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2**n) 0/1 matrix whose column X marks the subset X of columns,
+    and the Ryser signs (-1)**(n - |X|)."""
+    bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
+    signs = (-1.0) ** (n - bits.sum(axis=0))
+    table = bits.astype(complex)
+    for cached in (table, signs):
+        cached.flags.writeable = False
+    return table, signs
+
+
+def permanent_batch(a) -> np.ndarray:
+    """Permanents of a stack of square matrices, shape (..., n, n), by
+    Ryser's formula over all column subsets X at once:
+
+        perm(A) = sum_X (-1)**(n - |X|) prod_i sum_{j in X} A[i, j].
+
+    One matmul against the cached subset table gives every row sum, a
+    product over rows and a dot with the signs finish it. Beyond
+    BLOCK_BITS columns the subsets of the trailing columns are walked in
+    blocks, so no (n, 2**n) table is ever built.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"stack of square matrices required, got shape {a.shape}")
+    n = a.shape[-1]
+    low = min(n, BLOCK_BITS)
+    table, signs = _ryser_tables(low)
+    sums = a[..., :low] @ table
+    if n == low:
+        return np.prod(sums, axis=-2) @ signs
+    high = a[..., low:]
+    total = np.zeros(a.shape[:-2], dtype=complex)
+    for block in range(1 << (n - low)):
+        bits = (block >> np.arange(n - low)) & 1
+        sign = (-1.0) ** (n - low - int(bits.sum()))
+        total += sign * (np.prod(sums + (high @ bits)[..., None], axis=-2) @ signs)
+    return total
+
+
+def permanent(a) -> complex:
+    """Matrix permanent by Ryser's formula, O(2**n * n)."""
+    return complex(permanent_batch(_square(a)))
+
+
+permanent_ryser = permanent  # the name of the kernel, kept for callers that pick it
 
 
 def _square(a) -> np.ndarray:
@@ -144,79 +165,42 @@ def _as_gram(s) -> np.ndarray:
     return np.asarray(s, dtype=complex)
 
 
-@lru_cache(maxsize=None)
-def _perm_index_array(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-
-
-def _multiperm_naive_batch(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Vectorized double-permutation sum over a stack of photon-major
-    matrices. a, s: (batch, n, n)."""
-    batch, n, _ = a.shape
-    perms = _perm_index_array(n)               # (n!, n)
-    cols = np.arange(n)
-    amps = np.prod(a[:, perms, cols], axis=2)  # (batch, n!)
-    # overlap factor G[b, si, ri] = prod_j s[b, P[ri, j], P[si, j]]
-    g = np.prod(s[:, perms[None, :, :], perms[:, None, :]], axis=3)
-    return np.einsum("bs,bsr,br->b", amps, g, amps.conj())
-
-
-def _prod_last_axis(a: np.ndarray) -> np.ndarray:
-    """Pairwise-tree product along the last axis (faster than ufunc reduce
-    for the short axes that occur here)."""
-    while a.shape[-1] > 1:
-        k = a.shape[-1]
-        half = k // 2
-        res = a[..., 0 : 2 * half : 2] * a[..., 1 : 2 * half : 2]
-        if k & 1:
-            res = res.copy()
-            res[..., 0] *= a[..., -1]
-        a = res
-    return a[..., 0]
-
-
 def _multiperm_ryser_batch(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Double inclusion-exclusion over row-index subsets of the two
     permutations:
 
         Perm(W) = sum_{A, B} (-1)^(|A| + |B|) prod_j (1_A^T W_j 1_B).
 
+    The sum over B is Ryser's formula for the permanent of
+    M_A[j, l] = sum_{k in A} W[k, l, j], so Perm(W) is a signed sum of 2**n
+    ordinary permanents; memory grows as 4**n * n per matrix.
+
     a, s: (batch, n, n) photon-major matrix and effective Gram matrix.
     """
-    batch, n, _ = a.shape
-    nsub = 1 << n
+    n = a.shape[1]
     # T[b, k, j, l] = a[b, k, j] * conj(a[b, l, j]) * s[b, l, k]
     t = (
         a[:, :, :, None]
         * a.conj().transpose(0, 2, 1)[:, None, :, :]
         * s.transpose(0, 2, 1)[:, :, None, :]
     )
-    # subset sums over k, sliced by l for contiguous gray-walk updates:
-    # v[l, b, A, j] = sum_{k in A} T[b, k, j, l]
-    v = np.zeros((n, batch, nsub, n), dtype=complex)
-    for sub in range(1, nsub):
-        low = sub & -sub
-        v[:, :, sub] = v[:, :, sub ^ low] + t[:, low.bit_length() - 1].transpose(2, 0, 1)
-    sign_a = np.where(
-        np.array([bin(m).count("1") & 1 for m in range(nsub)], dtype=bool), -1.0, 1.0
-    )
-    acc = np.zeros(batch, dtype=complex)
-    s_mat = np.zeros((batch, nsub, n), dtype=complex)
-    gray = 0
-    for step in range(1, nsub):
-        new_gray = step ^ (step >> 1)
-        bit = (new_gray ^ gray).bit_length() - 1
-        if new_gray & (1 << bit):
-            s_mat += v[bit]
-        else:
-            s_mat -= v[bit]
-        gray = new_gray
-        sign_b = -1.0 if (bin(gray).count("1") & 1) else 1.0
-        acc += sign_b * (_prod_last_axis(s_mat) @ sign_a)
-    return acc
+    table, signs = _ryser_tables(n)
+    return permanent_batch(np.einsum("bkjl,kx->bxjl", t, table)) @ signs
 
 
-def multipermanent_batch(bs: np.ndarray, ss: np.ndarray, kernel: str = "auto") -> np.ndarray:
+def _real_part(vals: np.ndarray, what: str) -> np.ndarray:
+    """Real part of values that the overlap invariants make real, after
+    checking that the imaginary residue is rounding only."""
+    scale = np.maximum(np.abs(vals), 1.0)
+    if np.any(np.abs(vals.imag) > REAL_TOL * scale):
+        raise ValueError(
+            f"{what} has a non-real value; the overlap matrix likely "
+            "violates its Hermiticity/PSD invariants"
+        )
+    return vals.real
+
+
+def multipermanent_batch(bs: np.ndarray, ss: np.ndarray) -> np.ndarray:
     """Multipermanents of a stack of equal-size submatrices.
 
     `bs` holds submatrices in the fock.submatrix orientation (rows = output
@@ -230,25 +214,10 @@ def multipermanent_batch(bs: np.ndarray, ss: np.ndarray, kernel: str = "auto") -
     if ss.shape != bs.shape:
         raise ValueError("Gram stack must match matrix stack")
     a = bs.transpose(0, 2, 1)  # photon-major: rows = input photons
-    n = a.shape[1]
-    if kernel == "auto":
-        kernel = "naive" if n <= NAIVE_KERNEL_MAX else "ryser"
-    if kernel == "naive":
-        vals = _multiperm_naive_batch(a, ss)
-    elif kernel == "ryser":
-        vals = _multiperm_ryser_batch(a, ss)
-    else:
-        raise ValueError(f"unknown multipermanent kernel {kernel!r}")
-    scale = np.maximum(np.abs(vals), 1.0)
-    if np.any(np.abs(vals.imag) > REAL_TOL * scale):
-        raise ValueError(
-            "multipermanent has a non-real value; the overlap matrix likely "
-            "violates its Hermiticity/PSD invariants"
-        )
-    return vals.real
+    return _real_part(_multiperm_ryser_batch(a, ss), "multipermanent")
 
 
-def multipermanent(b: np.ndarray, s, kernel: str = "auto") -> float:
+def multipermanent(b: np.ndarray, s) -> float:
     """Perm(W) for one submatrix `b` (fock.submatrix orientation) and one
     effective Gram matrix `s` of the participating photons."""
     b = _square(b)
@@ -257,7 +226,25 @@ def multipermanent(b: np.ndarray, s, kernel: str = "auto") -> float:
         raise ValueError(
             f"Gram matrix shape {s_arr.shape} does not match submatrix {b.shape}"
         )
-    return float(multipermanent_batch(b[None], s_arr[None], kernel=kernel)[0])
+    return float(multipermanent_batch(b[None], s_arr[None])[0])
+
+
+def _effective_gram(s, n: int, assignment: AssignmentList | None = None) -> np.ndarray:
+    """The n x n per-photon overlap matrix: `s` itself when `assignment` is
+    None, else `s` indexed by internal-state label with a unit diagonal."""
+    if assignment is None:
+        s_eff = _as_gram(s)
+    elif len(assignment) != n:
+        raise ValueError("assignment length must equal the photon number")
+    elif isinstance(s, DistinguishabilityMatrix):
+        s_eff = s.restrict(assignment)
+    else:
+        idx = list(assignment.labels)
+        s_eff = _as_gram(s)[np.ix_(idx, idx)].copy()
+        np.fill_diagonal(s_eff, 1.0)
+    if s_eff.shape != (n, n):
+        raise ValueError(f"need a {n} x {n} effective Gram matrix, got {s_eff.shape}")
+    return s_eff
 
 
 def _occupation_factorial(state: FockState) -> int:
@@ -273,7 +260,6 @@ def output_probability(
     output_state: FockState,
     s,
     assignment: AssignmentList | None = None,
-    kernel: str = "auto",
 ) -> float:
     """Detection probability of `output_state` given `input_state` through a
     linear circuit: Perm(W) / (prod_i n_i! * prod_j m_j!).
@@ -283,24 +269,10 @@ def output_probability(
     indexed by photon when `assignment` is None, by internal state otherwise.
     """
     m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
-    n = input_state.n_photons
-    s_arr = _as_gram(s)
-    if assignment is not None:
-        if len(assignment) != n:
-            raise ValueError("assignment length must equal the photon number")
-        if isinstance(s, DistinguishabilityMatrix):
-            s_eff = s.restrict(assignment)
-        else:
-            idx = list(assignment.labels)
-            s_eff = s_arr[np.ix_(idx, idx)].copy()
-            np.fill_diagonal(s_eff, 1.0)
-    else:
-        s_eff = s_arr
-    if s_eff.shape != (n, n):
-        raise ValueError(f"need a {n} x {n} effective Gram matrix, got {s_eff.shape}")
+    s_eff = _effective_gram(s, input_state.n_photons, assignment)
     b = submatrix(m, input_state, output_state)
     norm = _occupation_factorial(input_state) * _occupation_factorial(output_state)
-    p = multipermanent(b, s_eff, kernel=kernel) / norm
+    p = multipermanent(b, s_eff) / norm
     if p < -PROB_TOL or p > 1 + PROB_TOL:
         raise ValueError(f"probability {p} outside [0, 1]; inconsistent inputs")
     return float(min(max(p, 0.0), 1.0))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -25,12 +26,12 @@ import numpy as np
 from .circuits import TransferMatrix, compose, purifier_stages, with_loss
 from .dephasing import pd_purified
 from .distinguishability import constant_overlap_S, polarization_S, PolarizationState
-from .fock import AssignmentList, ClickPattern, FockState, patterns_for_clicks, submatrix
+from .fock import AssignmentList, ClickPattern, FockState
 from .permanents import (
     DistinguishabilityMatrix,
-    multipermanent_batch,
-    _as_gram,
-    _occupation_factorial,
+    permanent_batch,
+    _effective_gram,
+    _real_part,
 )
 
 # Purifier mode roles (see circuits module): inputs and detector signature.
@@ -106,44 +107,86 @@ def success_probability(n: int) -> float:
     return factorial(n - 1) / 2.0**exponent * n**2 / 2.0**n
 
 
+@lru_cache(maxsize=None)
+def _subset_masks(
+    n_modes: int, clicked: tuple[int, ...], silent: tuple[int, ...], free: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indicator rows of K = free modes | T (K = T when `free` is false)
+    for every T subset of `clicked`, shape (2**|clicked|, n_modes), and
+    the signs (-1)**(|clicked| - |T|). Free modes are all modes without a
+    detector, loss ancillas included."""
+    masks = np.full((1 << len(clicked), n_modes), float(free))
+    masks[:, list(silent)] = 0.0
+    bits = (np.arange(len(masks))[:, None] >> np.arange(len(clicked))) & 1
+    masks[:, list(clicked)] = bits
+    signs = (-1.0) ** (len(clicked) - bits.sum(axis=1))
+    for cached in (masks, signs):
+        cached.flags.writeable = False
+    return masks, signs
+
+
+def _signature_probabilities(
+    matrix: np.ndarray, in_modes: np.ndarray, s_eff: np.ndarray, pattern: ClickPattern
+) -> np.ndarray:
+    """Signature probability of each of p photon placements by
+    inclusion-exclusion over the clicked detectors.
+
+    `in_modes` (p, n) holds each photon's input mode and `s_eff` (p, n, n)
+    the matching effective Gram matrices; `matrix` is the full transfer
+    matrix, loss ancillas included. See `signature_probability`.
+    """
+    n_modes = matrix.shape[0]
+    if any(m >= n_modes for m in pattern.modes):
+        raise ValueError("detector watches a mode outside the circuit")
+    p, n = in_modes.shape
+    clicked = pattern.clicked_modes
+    if n < len(clicked):
+        return np.zeros(p)
+    # with one photon per clicked detector none is left for the free modes;
+    # dropping them keeps the terms near the result's size (less cancellation)
+    masks, signs = _subset_masks(n_modes, clicked, pattern.silent_modes, n > len(clicked))
+    u_in = matrix[:, in_modes].transpose(1, 0, 2)  # (p, n_modes, n)
+    # H_T = U_in^dagger diag(1_K) U_in for every subset T, (p, 2**c, n, n)
+    h = (u_in.conj().transpose(0, 2, 1)[:, None] * masks[None, :, None, :]) @ u_in[:, None]
+    same_mode = in_modes[:, :, None] == in_modes[:, None, :]
+    stack = np.concatenate([h, same_mode[:, None]], axis=1) * s_eff[:, None]
+    perms = permanent_batch(stack)
+    num = _real_part(perms[:, :-1] @ signs, "signature probability")
+    norm = _real_part(perms[:, -1], "input-state norm")
+    return num / norm
+
+
 def signature_probability(
     circuit: TransferMatrix,
     input_state: FockState,
     pattern: ClickPattern,
     s,
     assignment: AssignmentList | None = None,
-    kernel: str = "auto",
 ) -> float:
-    """Probability of a detector signature: sum of output_probability over
-    all compatible output states, including free ancilla (loss) modes."""
-    n = input_state.n_photons
-    s_arr = _as_gram(s)
-    if assignment is not None:
-        if isinstance(s, DistinguishabilityMatrix):
-            s_eff = s.restrict(assignment)
-        else:
-            idx = list(assignment.labels)
-            s_eff = s_arr[np.ix_(idx, idx)].copy()
-            np.fill_diagonal(s_eff, 1.0)
-    else:
-        s_eff = s_arr
-    if s_eff.shape != (n, n):
-        raise ValueError(f"need a {n} x {n} effective Gram matrix, got {s_eff.shape}")
+    """Probability of a detector signature: at least one photon at every
+    clicked detector C, none at a silent one, anything in the free modes F
+    (unmonitored physical modes and loss ancillas). By inclusion-exclusion,
 
-    if input_state.n_modes == circuit.n_physical and circuit.n_ancilla:
-        input_state = FockState(input_state.occupations + (0,) * circuit.n_ancilla)
-    outputs = patterns_for_clicks(pattern, n, circuit.n_modes)
-    if not outputs:
-        return 0.0
-    mat = circuit.matrix
-    bs_stack = np.empty((len(outputs), n, n), dtype=complex)
-    norms = np.empty(len(outputs))
-    f_in = _occupation_factorial(input_state)
-    for i, out in enumerate(outputs):
-        bs_stack[i] = submatrix(mat, input_state, out)
-        norms[i] = f_in * _occupation_factorial(out)
-    vals = multipermanent_batch(bs_stack, np.broadcast_to(s_eff, bs_stack.shape), kernel=kernel)
-    return float(np.sum(vals / norms))
+        P = sum_{T subset C} (-1)**(|C| - |T|) perm(H_T o S) / perm(delta_in o S),
+        H_T = U_in^dagger diag(1_{F | T}) U_in,
+
+    with U_in the circuit columns of the photons' input modes, o the
+    entrywise product and S the effective Gram matrix itself, not its
+    transpose (H_T[k, l] pairs with S[k, l]). delta_in[k, l] = 1 when
+    photons k and l share an input mode, so the denominator is the squared
+    norm of the input state: prod n_i! when photons sharing a mode share
+    their internal state. More clicked detectors than photons give
+    exactly 0; exactly as many leave no photon for F, so F is dropped from
+    every term. Derivation in notes/decisions.md.
+    """
+    n = input_state.n_photons
+    if n < 1:
+        raise ValueError("at least one photon required")
+    s_eff = _effective_gram(s, n, assignment)
+    if input_state.n_modes not in (circuit.n_physical, circuit.n_modes):
+        raise ValueError("mode count of the input state does not match the circuit")
+    in_modes = np.array([input_state.mode_list()])
+    return float(_signature_probabilities(circuit.matrix, in_modes, s_eff[None], pattern)[0])
 
 
 def hom_visibility(
@@ -154,7 +197,6 @@ def hom_visibility(
     heralds: ClickPattern | None,
     s,
     assignment: AssignmentList | None = None,
-    kernel: str = "auto",
 ) -> float:
     """Visibility 1 - 2 * P_out / P_ref of a heralded interference test.
 
@@ -163,8 +205,8 @@ def hom_visibility(
     and herald patterns.
     """
     pattern = coincidence if heralds is None else coincidence.merge(heralds)
-    p_out = signature_probability(interfering, input_state, pattern, s, assignment, kernel)
-    p_ref = signature_probability(reference, input_state, pattern, s, assignment, kernel)
+    p_out = signature_probability(interfering, input_state, pattern, s, assignment)
+    p_ref = signature_probability(reference, input_state, pattern, s, assignment)
     if p_ref <= 0.0:
         raise ValueError("reference probability is zero: degenerate heralding")
     return 1.0 - 2.0 * p_out / p_ref
@@ -231,43 +273,29 @@ def _mixture_signature_probability(
     s_base: np.ndarray,
     pattern: ClickPattern,
     p2: float,
-    kernel: str = "auto",
 ) -> float:
     """Detector-signature probability under the two-photon emission mixture.
 
     Each occupied input independently carries a doubled emission with
     probability p2; a doubled photon shares its sibling's internal state.
-    Sums (1 - p2)^(N - eta) * p2^eta * P_eta over all placements; every
-    placement/output pair of one eta shares a kernel batch.
+    Sums (1 - p2)^(N - eta) * p2^eta * P_eta over all placements; the
+    placements of one eta share one stacked signature evaluation.
     """
     n_base = len(base_modes)
-    n_modes = circuit.n_physical
-    mat = circuit.matrix
     total = 0.0
     for eta in range(n_base + 1):
         weight = (1.0 - p2) ** (n_base - eta) * p2**eta
         if weight == 0.0:
             continue
-        bs_list, ss_list, norms = [], [], []
-        for doubled in itertools.combinations(range(n_base), eta):
-            occ = [0] * n_modes
-            labels = []
-            for i, mode in enumerate(base_modes):
-                k = 2 if i in doubled else 1
-                occ[mode] = k
-                labels.extend([i] * k)
-            inp = FockState(occ + [0] * circuit.n_ancilla)
-            s_eff = s_base[np.ix_(labels, labels)].copy()
-            np.fill_diagonal(s_eff, 1.0)
-            f_in = _occupation_factorial(inp)
-            for out in patterns_for_clicks(pattern, inp.n_photons, circuit.n_modes):
-                bs_list.append(submatrix(mat, inp, out))
-                ss_list.append(s_eff)
-                norms.append(f_in * _occupation_factorial(out))
-        if not bs_list:
-            continue
-        vals = multipermanent_batch(np.stack(bs_list), np.stack(ss_list), kernel=kernel)
-        total += weight * float(np.sum(vals / np.asarray(norms)))
+        labels = np.array([
+            sorted(list(range(n_base)) + list(doubled))
+            for doubled in itertools.combinations(range(n_base), eta)
+        ])
+        in_modes = np.asarray(base_modes)[labels]
+        s_eff = s_base[labels[:, :, None], labels[:, None, :]]
+        total += weight * float(
+            np.sum(_signature_probabilities(circuit.matrix, in_modes, s_eff, pattern))
+        )
     return total
 
 
@@ -324,6 +352,23 @@ def polarization_scenario_S(theta_rad: float, direction: str) -> Distinguishabil
     return polarization_S(states)
 
 
+def _polarization_visibilities(
+    theta_deg: float, directions: tuple[str, ...], out: TransferMatrix, ref: TransferMatrix
+) -> dict:
+    """Raw visibility ("v_raw") and the purified visibility of each
+    rotation direction (keyed by direction) at one polarization angle."""
+    theta = np.deg2rad(float(theta_deg))
+    row = {}
+    for direction in directions:
+        s4 = polarization_scenario_S(theta, direction).entries
+        row[direction] = hom_visibility(
+            out, ref, PURIFIER_INPUT, COINCIDENCE_PATTERN, HERALD_PATTERN, s4
+        )
+    s2 = polarization_S([PolarizationState.linear(theta), PolarizationState.linear(0.0)]).entries
+    row["v_raw"] = hom_visibility(out, ref, RAW_INPUT, COINCIDENCE_PATTERN, None, s2)
+    return row
+
+
 def polarization_bounds(thetas_deg, config: NoiseConfig | None = None) -> list[dict]:
     """Purified-visibility bounds versus polarization rotation angle: the
     same-direction case is the upper bound, opposite the lower.
@@ -332,24 +377,12 @@ def polarization_bounds(thetas_deg, config: NoiseConfig | None = None) -> list[d
     for 0 < theta < 45 degrees it sits up to 0.0068 below `v_raw`
     (exactly -(1-u)^2 (2u-1) / (2 (1+u)^2) with u = cos^2 theta, deepest
     near 36.5 degrees; derivation in notes/decisions.md)."""
-    config = config or NoiseConfig()
-    out, ref = _build_circuits(config)
+    out, ref = _build_circuits(config or NoiseConfig())
     rows = []
     for theta_deg in thetas_deg:
-        theta = np.deg2rad(float(theta_deg))
-        row = {"theta_deg": float(theta_deg)}
-        for direction in ("same", "opposite"):
-            s4 = polarization_scenario_S(theta, direction).entries
-            row[f"v_pure_{direction}"] = hom_visibility(
-                out, ref, PURIFIER_INPUT, COINCIDENCE_PATTERN, HERALD_PATTERN, s4
-            )
-        s2 = polarization_S(
-            [PolarizationState.linear(theta), PolarizationState.linear(0.0)]
-        ).entries
-        row["v_raw"] = hom_visibility(out, ref, RAW_INPUT, COINCIDENCE_PATTERN, None, s2)
-        rows.append(
-            {k: row[k] for k in ("theta_deg", "v_raw", "v_pure_same", "v_pure_opposite")}
-        )
+        row = _polarization_visibilities(theta_deg, ("same", "opposite"), out, ref)
+        rows.append({"theta_deg": float(theta_deg), "v_raw": row["v_raw"],
+                     "v_pure_same": row["same"], "v_pure_opposite": row["opposite"]})
     return rows
 
 
@@ -365,16 +398,9 @@ def evaluate_scenario(scenario: Scenario) -> dict:
         v_raw = 1.0 / (1.0 + scenario.x)
         v_pure = pd_purified(scenario.x)
     else:
-        theta = np.deg2rad(scenario.theta_deg)
         out, ref = _build_circuits(scenario.noise)
-        s4 = polarization_scenario_S(theta, scenario.direction).entries
-        v_pure = hom_visibility(
-            out, ref, PURIFIER_INPUT, COINCIDENCE_PATTERN, HERALD_PATTERN, s4
-        )
-        s2 = polarization_S(
-            [PolarizationState.linear(theta), PolarizationState.linear(0.0)]
-        ).entries
-        v_raw = hom_visibility(out, ref, RAW_INPUT, COINCIDENCE_PATTERN, None, s2)
+        row = _polarization_visibilities(scenario.theta_deg, (scenario.direction,), out, ref)
+        v_raw, v_pure = row["v_raw"], row[scenario.direction]
     return {
         "scenario_id": scenario.scenario_id,
         "model": scenario.model,

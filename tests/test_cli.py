@@ -121,7 +121,7 @@ def test_sweep_raw_visibility_models(tmp_path, capsys):
             "g2": 0.07,
         },
     )
-    code, out, _ = run_cli(capsys, "sweep", "--config", config, "--out", "-", "--workers", "2")
+    code, out, _ = run_cli(capsys, "sweep", "--config", config, "--out", "-")
     assert code == 0
     rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
     assert rows[0] == [

@@ -12,12 +12,14 @@ from hompurify import (
     multipermanent_batch,
     output_probability,
     permanent,
+    permanent_batch,
     permanent_naive,
     permanent_ryser,
     submatrix,
 )
 
 from oracles import (
+    batch_permanent_ryser,
     double_permutation_multipermanent,
     fock_polynomial_probabilities,
     gram_to_state_vectors,
@@ -58,6 +60,21 @@ def test_permanent_against_independent_sum():
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     ref = permanent_perm_sum(a)
     assert permanent(a) == pytest.approx(ref, rel=1e-12)
+    # n = 12 walks the subset table in column blocks
+    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    ref = batch_permanent_ryser(a[None])[0]
+    assert permanent(a) == pytest.approx(ref, rel=1e-10)
+
+
+def test_permanent_batch_matches_per_matrix_sum():
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        stack = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+        vals = permanent_batch(stack)
+        assert vals.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            ref = permanent_perm_sum(stack[idx])
+            assert abs(vals[idx] - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 def test_permanent_rejects_non_square():
@@ -116,11 +133,8 @@ def test_multipermanent_kernels_agree():
     for n in (2, 3, 4, 5):
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         s = random_gram(n, rng)
-        v_naive = multipermanent(b, s, kernel="naive")
-        v_ryser = multipermanent(b, s, kernel="ryser")
         ref = double_permutation_multipermanent(b.T, s).real
-        assert v_naive == pytest.approx(ref, rel=1e-11)
-        assert v_ryser == pytest.approx(ref, rel=1e-11)
+        assert multipermanent(b, s) == pytest.approx(ref, rel=1e-11)
 
 
 def test_multipermanent_relabeling_invariance():

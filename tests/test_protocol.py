@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hompurify import (
+    AssignmentList,
     ClickPattern,
     FockState,
     NoiseConfig,
@@ -14,6 +19,7 @@ from hompurify import (
     multiphoton_visibility,
     output_probability,
     p2_from_g2,
+    patterns_for_clicks,
     polarization_bounds,
     purified_visibility,
     purifier_pair_circuit,
@@ -21,13 +27,48 @@ from hompurify import (
     signature_probability,
     success_probability,
 )
-from hompurify.circuits import TransferMatrix
+from hompurify.circuits import TransferMatrix, with_loss
 
 from oracles import double_permutation_multipermanent, fock_polynomial_probabilities
 
 
 IDENTITY_2 = TransferMatrix(np.eye(2))
 COINC_2 = ClickPattern.from_modes(clicked=(0, 1))
+
+
+# Derandomized so that the suite runs the same examples every time.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def haar_unitary(m, rng):
+    z = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_gram(n, rng):
+    v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v.conj() @ v.T
+
+
+@st.composite
+def random_setups(draw, max_photons):
+    """A Haar-random circuit of 3-7 physical modes, loss-dilated on some
+    inputs with transmissions in [0.3, 1], photons on random (possibly
+    repeated) input modes, and a random complex Gram matrix."""
+    n_modes = draw(st.integers(3, 7))
+    n_photons = draw(st.integers(2, max_photons))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    transmissions = [1.0] * n_modes
+    for mode in draw(st.sets(st.integers(0, n_modes - 1), max_size=3)):
+        transmissions[mode] = draw(st.floats(0.3, 1.0))
+    circuit = with_loss(TransferMatrix(haar_unitary(n_modes, rng)), transmissions)
+    modes = sorted(draw(st.lists(st.integers(0, n_modes - 1),
+                                 min_size=n_photons, max_size=n_photons)))
+    occupations = [modes.count(m) for m in range(n_modes)]
+    return circuit, FockState(occupations), rng
 
 
 def analytic_purified(c: float) -> float:
@@ -274,3 +315,78 @@ def test_scenario_validation_and_rows():
     assert row["v_raw"] == pytest.approx(1 / 1.2)
     row = evaluate_scenario(Scenario("pol", "polarization", theta_deg=20.0, direction="opposite"))
     assert 0.0 < row["v_pure"] < 1.0
+
+
+def enumerated_signature_probability(circuit, inp, pattern, s, assignment):
+    """Sum of output_probability over every Fock output compatible with the
+    signature, ancilla modes free."""
+    full = FockState(inp.occupations + (0,) * circuit.n_ancilla)
+    outputs = patterns_for_clicks(pattern, inp.n_photons, circuit.n_modes)
+    return sum(output_probability(circuit, full, out, s, assignment) for out in outputs)
+
+
+@PROPERTY
+@given(random_setups(max_photons=4), st.data())
+def test_signature_probability_matches_enumeration(setup, data):
+    """Inclusion-exclusion over the clicked detectors equals the sum over
+    compatible outputs. Photons sharing an input mode share an internal
+    state (the enumeration normalizes by prod n_i!); other photons may
+    share a state too."""
+    circuit, inp, rng = setup
+    n_modes = circuit.n_physical
+    occupied = [m for m, k in enumerate(inp.occupations) if k]
+    mode_label = {m: data.draw(st.integers(0, len(occupied) - 1)) for m in occupied}
+    assignment = AssignmentList([mode_label[m] for m in inp.mode_list()])
+    s = random_gram(len(occupied), rng)
+    roles = data.draw(st.lists(st.sampled_from(("click", "silent", "free")),
+                               min_size=n_modes, max_size=n_modes))
+    pattern = ClickPattern.from_modes(
+        clicked=[m for m, r in enumerate(roles) if r == "click"],
+        silent=[m for m, r in enumerate(roles) if r == "silent"],
+    )
+    fast = signature_probability(circuit, inp, pattern, s, assignment)
+    slow = enumerated_signature_probability(circuit, inp, pattern, s, assignment)
+    assert fast == pytest.approx(slow, abs=1e-12)
+
+
+@PROPERTY
+@given(random_setups(max_photons=5), st.data())
+def test_signature_probabilities_sum_to_one(setup, data):
+    """Over every click/silent pattern of the monitored modes, ancillas and
+    unmonitored modes free, the probabilities sum to 1, also when photons
+    sharing an input mode carry different internal states."""
+    circuit, inp, rng = setup
+    monitored = sorted(data.draw(st.sets(st.integers(0, circuit.n_physical - 1), min_size=1)))
+    s = random_gram(inp.n_photons, rng)
+    total = 0.0
+    for clicks in itertools.product((True, False), repeat=len(monitored)):
+        total += signature_probability(circuit, inp, ClickPattern(clicks, monitored), s)
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@PROPERTY
+@given(random_setups(max_photons=3))
+def test_infeasible_signature_is_exactly_zero(setup):
+    circuit, inp, rng = setup
+    clicked = range(min(inp.n_photons + 1, circuit.n_physical))
+    if len(clicked) <= inp.n_photons:
+        return
+    pattern = ClickPattern.from_modes(clicked=clicked)
+    s = random_gram(inp.n_photons, rng)
+    assert signature_probability(circuit, inp, pattern, s) == 0.0
+
+
+@pytest.mark.parametrize("transmission", [0.4, 0.1])
+@pytest.mark.parametrize("loss_stage", ["input", "after_first_bs"])
+def test_heavy_loss_visibilities_match_closed_form(loss_stage, transmission):
+    """Under uniform loss the visibilities keep their lossless closed forms,
+    V = 4R(1-R)(1+W) - 1 for a final coupler of reflectivity R and
+    two-photon overlap W, to 1e-12 even when the heralded signature is far
+    rarer than losing photons."""
+    c, r_final = 0.4914876322820183, 0.40600398518944825
+    config = NoiseConfig(r1=0.2720617213795132, r2=0.29535921716907787, r_final=r_final,
+                         transmissions=(transmission,) * 6, loss_stage=loss_stage)
+    v_raw, v_pure = purified_visibility(c, config)
+    w_pure = analytic_purified(c)
+    assert v_raw == pytest.approx(4 * r_final * (1 - r_final) * (1 + c**2) - 1, abs=1e-12)
+    assert v_pure == pytest.approx(4 * r_final * (1 - r_final) * (1 + w_pure) - 1, abs=1e-12)
