@@ -193,6 +193,12 @@ def cmd_fit(args) -> int:
     )
     if geometry.mode == "purified" and args.v_raw is None:
         raise ConfigError("purified-mode fit requires --v-raw from a prior raw fit")
+    if args.v_raw is not None and not 0.0 <= args.v_raw <= 1.0:
+        raise ConfigError(f"--v-raw must lie in [0, 1], got {args.v_raw}")
+    if args.mc_resamples and args.mc_resamples < histogram_fit.MIN_RESAMPLES:
+        raise ConfigError(f"--mc-resamples must be 0 or at least {histogram_fit.MIN_RESAMPLES}")
+    if args.mc_resamples and args.seed is None:
+        raise ConfigError("--mc-resamples requires --seed for reproducibility")
     reader = (
         histogram_fit.read_histogram if args.input_kind == "histogram"
         else histogram_fit.read_peak_counts
@@ -203,8 +209,6 @@ def cmd_fit(args) -> int:
         raise ConfigError(str(exc))
     result = histogram_fit.fit(counts, geometry, v_raw=args.v_raw)
     if args.mc_resamples:
-        if args.seed is None:
-            raise ConfigError("--mc-resamples requires --seed for reproducibility")
         sigma_t, sigma_v = histogram_fit.mc_uncertainty(
             counts, geometry, args.mc_resamples, seed=args.seed, v_raw=args.v_raw
         )
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fit = sub.add_parser("fit", help="least-squares count fit with optional Monte Carlo errors")
+    p_fit = sub.add_parser("fit", help="closed-form count inversion with optional Monte Carlo errors")
     p_fit.add_argument("--counts", required=True, help="peak-count or histogram file")
     p_fit.add_argument("--mode", choices=["raw", "pure"], required=True)
     p_fit.add_argument("--v-raw", type=float, default=None, help="raw visibility for pure mode")

@@ -1,19 +1,26 @@
-"""Correlation-peak counting models and their least-squares inversion.
+"""Correlation-peak counting models and their closed-form inversion.
 
 The raw and purified interference setups are modeled as explicit
 beamsplitter networks with pairwise-interference bunching rules; central
 and side correlation-peak counts follow from the system efficiency t and
-the visibilities. Fitting inverts (central, side) counts for (t, V) and a
-Poissonian Monte Carlo propagates count noise into parameter
-uncertainties.
+the visibilities. Fitting inverts (central, side) counts for (t, V)
+exactly, a quadratic in raw mode and a bracketed one-variable root in
+purified mode, and a Poissonian Monte Carlo propagates count noise into
+parameter uncertainties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import logging
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+
+logger = logging.getLogger(__name__)
+
+MIN_RESAMPLES = 100
+MAX_FAILURE_FRACTION = 0.01  # resamples with no (t, V) in range that sigma may leave out
 
 
 @dataclass(frozen=True)
@@ -27,10 +34,14 @@ class PeakCounts:
     integration_time: float = 30.0
 
     def __post_init__(self):
-        if self.central < 0 or self.side < 0:
-            raise ValueError("counts must be non-negative")
-        if self.repetition_rate <= 0 or self.integration_time <= 0:
-            raise ValueError("repetition rate and integration time must be positive")
+        for name in ("central", "side"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} count must be finite and non-negative, got {value}")
+        for name in ("repetition_rate", "integration_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def trials(self) -> float:
@@ -161,106 +172,74 @@ def pure_count_model(t, v_raw, v_pure, geometry: SetupGeometry, counts_meta: Pea
     return trials * p_central, trials * p_1d**2
 
 
-def _model_counts(params, geometry, counts_meta, v_raw):
-    if geometry.mode == "raw":
-        return raw_count_model(params[0], params[1], geometry, counts_meta)
-    return pure_count_model(params[0], v_raw, params[1], geometry, counts_meta)
+def _invert(central, side, counts_meta, geometry, v_raw):
+    """Exact (t, V) for arrays of (central, side) counts.
 
-
-def fit(
-    counts: PeakCounts,
-    geometry: SetupGeometry,
-    v_raw: float | None = None,
-    grid: int = 11,
-    refine_starts: int = 3,
-) -> FitResult:
-    """Least-squares inversion of (central, side) counts for (t, V).
-
-    A coarse grid over [0, 1]^2 selects the best starting points, each
-    refined with bounded least squares; for the purified mode `v_raw` from a
-    prior raw fit enters the bunching probability as a constant.
+    Returns t, V and, per entry, the first constraint that no solution
+    meets ("real root", "t > 0", "t <= 1" or "V >= 0"), or "" where the
+    solution lies in (0, 1] x [0, 1]. See notes/decisions.md.
     """
     if geometry.mode == "purified" and v_raw is None:
         raise FitError("purified-mode fit needs the raw visibility from a prior raw fit")
+    trials = counts_meta.trials
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if geometry.mode == "raw":
+            # p_1D = x - x^2/2 + C/(2N) with x = d r t: the root with x <= 1
+            dr = geometry.demux_split * geometry.split_bs_reflectivity
+            q = np.sqrt(side / trials) - central / (2.0 * trials)
+            x = 2.0 * q / (1.0 + np.sqrt(1.0 - 2.0 * q))
+            t, v = x / dr, 1.0 - 2.0 * central / (trials * x**2)
+            return t, v, np.select(
+                [~np.isfinite(t), t <= 0, t > 1, v < 0],
+                ["real root", "t > 0", "t <= 1", "V >= 0"],
+                default="",
+            )
+        # the central count fixes V = 1 - a / t^4; along that curve the side
+        # count rises strictly with t, so bisect on [a^(1/4), 1]
+        a = central / pure_count_model(1.0, v_raw, 0.0, geometry, counts_meta)[0]
+
+        def side_at(t):
+            v = np.clip(1.0 - a / t**4, 0.0, 1.0)
+            return v, pure_count_model(t, v_raw, v, geometry, counts_meta)[1]
+
+        lo = np.minimum(a**0.25, 1.0)
+        side_v0 = pure_count_model(lo, v_raw, 0.0, geometry, counts_meta)[1]
+        failed = np.select(
+            [~np.isfinite(a), side <= 0, (a > 1) | (side_v0 > side), side_at(1.0)[1] < side],
+            ["real root", "t > 0", "V >= 0", "t <= 1"],
+            default="",
+        )
+        hi = np.where(failed == "", 1.0, lo)
+        while True:
+            t = 0.5 * (lo + hi)
+            if not np.any((lo < t) & (t < hi)):
+                return t, side_at(t)[0], failed
+            below = side_at(t)[1] < side
+            lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+
+
+def fit(counts: PeakCounts, geometry: SetupGeometry, v_raw: float | None = None) -> FitResult:
+    """Exact inversion of (central, side) counts for (t, V).
+
+    Raw mode solves a quadratic in t; purified mode bisects the side count
+    along the curve on which the central count matches, with `v_raw` from a
+    prior raw fit as a constant. Raises `FitError` when no (t, V) in
+    (0, 1] x [0, 1] reproduces the counts, naming the constraint that fails.
+    """
     if counts.central == 0 and counts.side == 0:
         raise FitError("degenerate input: central and side counts are both zero")
-    observed = np.array([counts.central, counts.side], dtype=float)
-    axis = np.linspace(0.0, 1.0, grid)
-    tt, vv = np.meshgrid(axis, axis, indexing="ij")
-    central, side = _model_counts((tt, vv), geometry, counts, v_raw)
-    cost = (central - observed[0]) ** 2 + (side - observed[1]) ** 2
-    order = np.argsort(cost, axis=None)
-
-    def residuals(p):
-        c, s = _model_counts((p[0], p[1]), geometry, counts, v_raw)
-        return np.array([c - observed[0], s - observed[1]])
-
-    best = None
-    for flat in order[:refine_starts]:
-        start = np.array([tt.flat[flat], vv.flat[flat]])
-        start = np.clip(start, 1e-6, 1 - 1e-6)
-        sol = least_squares(
-            residuals, start, bounds=([0.0, 0.0], [1.0, 1.0]), xtol=1e-15, ftol=1e-15, gtol=1e-15
-        )
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None or not best.success:
-        raise FitError(
-            "fit did not converge; best candidate "
-            + (f"t={best.x[0]:.4f}, V={best.x[1]:.4f}" if best is not None else "none")
-        )
-    scale = np.linalg.norm(observed)
-    rel_residual = float(np.linalg.norm(residuals(best.x)) / scale) if scale > 0 else float("nan")
-    return FitResult(t=float(best.x[0]), v=float(best.x[1]), residual=rel_residual)
-
-
-def fit_joint(
-    raw_counts: PeakCounts,
-    pure_counts: PeakCounts,
-    raw_geometry: SetupGeometry | None = None,
-    pure_geometry: SetupGeometry | None = None,
-    grid: int = 7,
-    refine_starts: int = 3,
-) -> tuple[float, float, float]:
-    """Single-stage alternative to the raw-then-purified procedure: fit
-    (t, v_raw, v_pure) jointly to all four counts with a shared efficiency.
-
-    Overdetermined (four observations, three parameters); the default
-    pipeline remains the two-stage `fit`.
-    """
-    raw_geometry = raw_geometry or SetupGeometry(mode="raw")
-    pure_geometry = pure_geometry or SetupGeometry(mode="purified")
-    observed = np.array(
-        [raw_counts.central, raw_counts.side, pure_counts.central, pure_counts.side]
+    t, v, failed = _invert(
+        np.array([counts.central]), np.array([counts.side]), counts, geometry, v_raw
     )
-    if not np.any(observed):
-        raise FitError("degenerate input: all counts are zero")
-
-    def residuals(p):
-        t, v_raw, v_pure = p
-        rc, rs = raw_count_model(t, v_raw, raw_geometry, raw_counts)
-        pc, ps = pure_count_model(t, v_raw, v_pure, pure_geometry, pure_counts)
-        return np.array([rc, rs, pc, ps]) - observed
-
-    axis = np.linspace(0.05, 0.95, grid)
-    tt, vr, vp = np.meshgrid(axis, axis, axis, indexing="ij")
-    rc, rs = raw_count_model(tt, vr, raw_geometry, raw_counts)
-    pc, ps = pure_count_model(tt, vr, vp, pure_geometry, pure_counts)
-    cost = (
-        (rc - observed[0]) ** 2 + (rs - observed[1]) ** 2
-        + (pc - observed[2]) ** 2 + (ps - observed[3]) ** 2
-    )
-    best = None
-    for flat in np.argsort(cost, axis=None)[:refine_starts]:
-        start = np.array([tt.flat[flat], vr.flat[flat], vp.flat[flat]])
-        sol = least_squares(
-            residuals, start, bounds=([0.0] * 3, [1.0] * 3), xtol=1e-15, ftol=1e-15, gtol=1e-15
-        )
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None or not best.success:
-        raise FitError("joint fit did not converge")
-    return float(best.x[0]), float(best.x[1]), float(best.x[2])
+    if failed[0]:
+        raise FitError(f"no (t, V) reproduces the counts: constraint {failed[0]} fails")
+    if geometry.mode == "raw":
+        model = raw_count_model(t, v, geometry, counts)
+    else:
+        model = pure_count_model(t, v_raw, v, geometry, counts)
+    model, observed = np.concatenate(model), np.array([counts.central, counts.side])
+    rel_residual = float(np.linalg.norm(model - observed) / np.linalg.norm(observed))
+    return FitResult(t=float(t[0]), v=float(v[0]), residual=rel_residual)
 
 
 def mc_uncertainty(
@@ -269,42 +248,42 @@ def mc_uncertainty(
     n_resamples: int,
     seed: int,
     v_raw: float | None = None,
-    max_failure_fraction: float = 0.01,
 ) -> tuple[float, float]:
     """Monte Carlo (sigma_t, sigma_v) assuming Poissonian counting noise.
 
-    Central and side counts are redrawn from Poisson distributions with the
-    observed means and refitted; deterministic for a given seed.
+    All resamples of the central and side counts are drawn at once from
+    Poisson distributions with the observed means and inverted together;
+    deterministic for a given seed. Resamples with no (t, V) in range are
+    left out: above `MAX_FAILURE_FRACTION` of them this raises `FitError`,
+    below it logs a warning with the count.
     """
-    if n_resamples < 100:
-        raise ValueError("need at least 100 resamples")
+    if n_resamples < MIN_RESAMPLES:
+        raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     rng = np.random.default_rng(seed)
-    ts, vs, failures = [], [], 0
-    for _ in range(n_resamples):
-        resampled = replace(
-            counts,
-            central=float(rng.poisson(counts.central)),
-            side=float(rng.poisson(counts.side)),
+    draws = rng.poisson([counts.central, counts.side], size=(n_resamples, 2)).astype(float)
+    t, v, failed = _invert(draws[:, 0], draws[:, 1], counts, geometry, v_raw)
+    ok = failed == ""
+    if not ok.all():
+        names, sizes = np.unique(failed[~ok], return_counts=True)
+        detail = ", ".join(f"{name} fails for {k}" for name, k in zip(names, sizes))
+        n_failed = n_resamples - int(ok.sum())
+        if n_failed > MAX_FAILURE_FRACTION * n_resamples:
+            raise FitError(
+                f"{n_failed}/{n_resamples} resamples have no (t, V) in range ({detail}); "
+                "counts too degenerate"
+            )
+        logger.warning(
+            "%d/%d resamples have no (t, V) in range (%s); left out of sigma",
+            n_failed, n_resamples, detail,
         )
-        try:
-            result = fit(resampled, geometry, v_raw=v_raw)
-        except FitError:
-            failures += 1
-            continue
-        ts.append(result.t)
-        vs.append(result.v)
-    if failures > max_failure_fraction * n_resamples:
-        raise FitError(
-            f"{failures}/{n_resamples} resample fits failed; counts too degenerate"
-        )
-    return float(np.std(ts, ddof=1)), float(np.std(vs, ddof=1))
+    return float(np.std(t[ok], ddof=1)), float(np.std(v[ok], ddof=1))
 
 
 def read_peak_counts(path, repetition_rate: float = 10e6, integration_time: float = 30.0) -> PeakCounts:
     """Read pre-integrated peak counts from delimited text with columns
     (peak_index, counts); peak 0 is the central peak, the side value is the
     mean over all other peaks."""
-    rows = _read_two_columns(path)
+    rows = _read_two_columns(path, ("peak_index", "counts"))
     central = None
     sides = []
     for idx, value in rows:
@@ -330,7 +309,7 @@ def read_histogram(
     """Read a time-tag histogram with columns (time_bin_ns, counts) and
     integrate peaks with a window of half the pulse period on each side of
     every multiple of the period; peak 0 is central."""
-    rows = _read_two_columns(path)
+    rows = _read_two_columns(path, ("time_bin_ns", "counts"))
     period_ns = 1e9 / repetition_rate
     peaks: dict[int, float] = {}
     for t_ns, value in rows:
@@ -350,7 +329,7 @@ def read_histogram(
     )
 
 
-def _read_two_columns(path) -> list[tuple[float, float]]:
+def _read_two_columns(path, columns: tuple[str, str]) -> list[tuple[float, float]]:
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -361,9 +340,13 @@ def _read_two_columns(path) -> list[tuple[float, float]]:
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {line!r}")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                row = (float(parts[0]), float(parts[1]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric value in {line!r}") from exc
+            for name, value in zip(columns, row):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: {name} must be finite, got {value}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows

@@ -3,15 +3,21 @@
 Everything here is deliberately written from first principles (polynomial
 creation-operator algebra, plain permutation sums, brute-force path
 enumeration) and shares no code path with the package kernels it checks.
+The least-squares count fits share only the forward count model with the
+package; they check its closed-form inversion.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
+from scipy.optimize import least_squares
+
+from hompurify import pure_count_model, raw_count_model
 
 
 def gram_to_state_vectors(s: np.ndarray) -> np.ndarray:
@@ -260,3 +266,92 @@ def pure_network_sub_probs_oracle(t, v_raw, split=0.55):
         "b1": bottom.get(1, 0.0),
         "b2": bottom.get(2, 0.0),
     }
+
+
+# ---------------------------------------------------------------------------
+# least-squares inversion of the count models
+# ---------------------------------------------------------------------------
+
+def model_counts(t, v, geometry, counts_meta, v_raw=None):
+    """Expected (central, side) counts of `geometry.mode` at (t, V)."""
+    if geometry.mode == "raw":
+        return raw_count_model(t, v, geometry, counts_meta)
+    return pure_count_model(t, v_raw, v, geometry, counts_meta)
+
+
+def least_squares_fit(counts, geometry, v_raw=None, grid=11, refine_starts=3):
+    """(t, V) by bounded least squares on the count model: a coarse grid
+    over [0, 1]^2 picks the starting points, each refined by
+    `scipy.optimize.least_squares`; the lowest cost wins."""
+    observed = np.array([counts.central, counts.side], dtype=float)
+    axis = np.linspace(0.0, 1.0, grid)
+    tt, vv = np.meshgrid(axis, axis, indexing="ij")
+    central, side = model_counts(tt, vv, geometry, counts, v_raw)
+    cost = (central - observed[0]) ** 2 + (side - observed[1]) ** 2
+
+    def residuals(p):
+        c, s = model_counts(p[0], p[1], geometry, counts, v_raw)
+        return np.array([c - observed[0], s - observed[1]])
+
+    best = None
+    for flat in np.argsort(cost, axis=None)[:refine_starts]:
+        start = np.clip([tt.flat[flat], vv.flat[flat]], 1e-6, 1 - 1e-6)
+        sol = least_squares(
+            residuals, start, bounds=([0.0, 0.0], [1.0, 1.0]), xtol=1e-15, ftol=1e-15, gtol=1e-15
+        )
+        if best is None or sol.cost < best.cost:
+            best = sol
+    if not best.success:
+        raise RuntimeError(f"least squares did not converge: {best.message}")
+    return float(best.x[0]), float(best.x[1])
+
+
+def mc_uncertainty_loop(counts, geometry, n_resamples, seed, v_raw=None):
+    """Monte Carlo (sigma_t, sigma_v) one resample at a time: redraw the
+    central then the side count from Poisson laws and refit each pair by
+    least squares."""
+    rng = np.random.default_rng(seed)
+    fits = []
+    for _ in range(n_resamples):
+        resampled = replace(
+            counts,
+            central=float(rng.poisson(counts.central)),
+            side=float(rng.poisson(counts.side)),
+        )
+        fits.append(least_squares_fit(resampled, geometry, v_raw=v_raw))
+    return tuple(float(s) for s in np.std(fits, axis=0, ddof=1))
+
+
+def fit_joint(raw_counts, pure_counts, raw_geometry, pure_geometry, grid=7, refine_starts=3):
+    """Single-stage alternative to the raw-then-purified procedure: fit
+    (t, v_raw, v_pure) jointly to all four counts with a shared efficiency.
+    Overdetermined (four observations, three parameters)."""
+    observed = np.array(
+        [raw_counts.central, raw_counts.side, pure_counts.central, pure_counts.side]
+    )
+
+    def residuals(p):
+        t, v_raw, v_pure = p
+        rc, rs = raw_count_model(t, v_raw, raw_geometry, raw_counts)
+        pc, ps = pure_count_model(t, v_raw, v_pure, pure_geometry, pure_counts)
+        return np.array([rc, rs, pc, ps]) - observed
+
+    axis = np.linspace(0.05, 0.95, grid)
+    tt, vr, vp = np.meshgrid(axis, axis, axis, indexing="ij")
+    rc, rs = raw_count_model(tt, vr, raw_geometry, raw_counts)
+    pc, ps = pure_count_model(tt, vr, vp, pure_geometry, pure_counts)
+    cost = (
+        (rc - observed[0]) ** 2 + (rs - observed[1]) ** 2
+        + (pc - observed[2]) ** 2 + (ps - observed[3]) ** 2
+    )
+    best = None
+    for flat in np.argsort(cost, axis=None)[:refine_starts]:
+        start = np.array([tt.flat[flat], vr.flat[flat], vp.flat[flat]])
+        sol = least_squares(
+            residuals, start, bounds=([0.0] * 3, [1.0] * 3), xtol=1e-15, ftol=1e-15, gtol=1e-15
+        )
+        if best is None or sol.cost < best.cost:
+            best = sol
+    if not best.success:
+        raise RuntimeError("joint fit did not converge")
+    return float(best.x[0]), float(best.x[1]), float(best.x[2])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hompurify
 from hompurify import PeakCounts, SetupGeometry, pure_count_model, raw_count_model
 from hompurify.cli import main
 
@@ -199,6 +204,52 @@ def test_fit_numerical_failure_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", "--counts", str(path), "--mode", "raw")
     assert code == 3
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize(
+    "kind, text, field",
+    [
+        ("peaks", "-1 5\n0 nan\n1 5\n", "counts"),
+        ("peaks", "0 5\ninf 5\n", "peak_index"),
+        ("histogram", "0.0 5\n100.0 inf\n", "counts"),
+    ],
+)
+def test_fit_rejects_non_finite_counts(tmp_path, capsys, kind, text, field):
+    path = tmp_path / "counts.txt"
+    path.write_text(text)
+    code, _, err = run_cli(
+        capsys, "fit", "--counts", str(path), "--mode", "raw", "--input-kind", kind
+    )
+    assert code == 2
+    assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--mc-resamples", "50", "--seed", "1"], "--mc-resamples"),
+        (["--mc-resamples", "-5", "--seed", "1"], "--mc-resamples"),
+        (["--mode", "pure", "--v-raw", "1.5"], "--v-raw"),
+        (["--mode", "pure", "--v-raw", "-0.1"], "--v-raw"),
+    ],
+)
+def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
+    path = _write_raw_counts_file(tmp_path)
+    argv = ["fit", "--counts", path, "--mode", "raw", "--time", "30"]
+    code, _, err = run_cli(capsys, *argv, *flags)
+    assert code == 2
+    assert field in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(hompurify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, hompurify.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_mc_dephasing_reports(tmp_path, capsys):

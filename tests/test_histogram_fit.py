@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hompurify import (
     FitError,
@@ -17,7 +21,14 @@ from hompurify.histogram_fit import (
     read_peak_counts,
 )
 
-from oracles import pure_network_sub_probs_oracle, raw_network_counts_oracle
+from oracles import (
+    fit_joint,
+    least_squares_fit,
+    mc_uncertainty_loop,
+    model_counts,
+    pure_network_sub_probs_oracle,
+    raw_network_counts_oracle,
+)
 
 RAW_GEOM = SetupGeometry(mode="raw")
 PURE_GEOM = SetupGeometry(mode="purified")
@@ -30,6 +41,9 @@ def test_peak_counts_validation():
         PeakCounts(central=-1, side=0)
     with pytest.raises(ValueError):
         PeakCounts(central=1, side=1, repetition_rate=0)
+    for field, value in (("central", np.nan), ("side", np.inf), ("integration_time", np.nan)):
+        with pytest.raises(ValueError, match=field):
+            PeakCounts(**{"central": 1.0, "side": 1.0, field: value})
 
 
 def test_raw_model_limits():
@@ -116,17 +130,22 @@ def test_fit_errors():
         fit(counts, RAW_GEOM)
     with pytest.raises(FitError, match="raw visibility"):
         fit(PeakCounts(central=10, side=10), PURE_GEOM)
+    # more central counts than V >= 0 allows, and a side count beyond t = 1
+    central, side = raw_count_model(0.3, 0.0, RAW_GEOM, RAW_META)
+    with pytest.raises(FitError, match="V >= 0"):
+        fit(PeakCounts(central=1.01 * central, side=side), RAW_GEOM)
+    central, side = pure_count_model(1.0, 0.8, 0.9, PURE_GEOM, PURE_META)
+    with pytest.raises(FitError, match="t <= 1"):
+        fit(PeakCounts(central, 1.01 * side, 10e6, 800.0), PURE_GEOM, v_raw=0.8)
 
 
 def test_joint_fit_round_trip():
-    from hompurify.histogram_fit import fit_joint
-
     t, v_raw, v_pure = 0.3, 0.83, 0.91
     rc, rs = raw_count_model(t, v_raw, RAW_GEOM, RAW_META)
     pc, ps = pure_count_model(t, v_raw, v_pure, PURE_GEOM, PURE_META)
     raw_counts = PeakCounts(rc, rs, 10e6, 30.0)
     pure_counts = PeakCounts(pc, ps, 10e6, 800.0)
-    t_hat, vr_hat, vp_hat = fit_joint(raw_counts, pure_counts)
+    t_hat, vr_hat, vp_hat = fit_joint(raw_counts, pure_counts, RAW_GEOM, PURE_GEOM)
     assert t_hat == pytest.approx(t, abs=1e-6)
     assert vr_hat == pytest.approx(v_raw, abs=1e-6)
     assert vp_hat == pytest.approx(v_pure, abs=1e-6)
@@ -163,6 +182,60 @@ def test_mc_uncertainty_validates_resamples():
         mc_uncertainty(counts, RAW_GEOM, 50, seed=1)
 
 
+# Derandomized so that the suite runs the same examples every time.
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+INTERIOR = st.floats(0.05, 0.95)
+
+
+@PROPERTY
+@given(t=st.floats(0.02, 0.98), v_raw=INTERIOR, v_pure=INTERIOR)
+def test_fit_matches_least_squares_oracle(t, v_raw, v_pure):
+    for geometry, meta, v, prior in (
+        (RAW_GEOM, RAW_META, v_raw, None),
+        (PURE_GEOM, PURE_META, v_pure, v_raw),
+    ):
+        central, side = model_counts(t, v, geometry, meta, prior)
+        counts = PeakCounts(central, side, meta.repetition_rate, meta.integration_time)
+        result = fit(counts, geometry, v_raw=prior)
+        assert result.t == pytest.approx(t, abs=1e-12)
+        assert result.v == pytest.approx(v, abs=1e-12)
+        if geometry.mode == "purified" and t < 0.1:
+            # the oracle's best grid start is then on the flat t = 0 row,
+            # where least squares stops at t = 1e-6
+            continue
+        t_ls, v_ls = least_squares_fit(counts, geometry, v_raw=prior)
+        assert result.t == pytest.approx(t_ls, abs=1e-9)
+        assert result.v == pytest.approx(v_ls, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["raw", "purified"])
+def test_mc_uncertainty_matches_per_resample_loop(mode):
+    # the batched draws are the loop's draws, and each inversion its fit
+    geometry, meta, v, prior = (
+        (RAW_GEOM, RAW_META, 0.58, None) if mode == "raw" else (PURE_GEOM, PURE_META, 0.91, 0.83)
+    )
+    central, side = model_counts(0.3, v, geometry, meta, prior)
+    counts = PeakCounts(round(central), side, meta.repetition_rate, meta.integration_time)
+    sigma = mc_uncertainty(counts, geometry, 100, seed=3, v_raw=prior)
+    oracle = mc_uncertainty_loop(counts, geometry, 100, seed=3, v_raw=prior)
+    assert sigma == pytest.approx(oracle, rel=1e-9)
+
+
+def test_mc_uncertainty_counts_out_of_range_resamples(caplog):
+    # 1 ms of counts near t = 1: some resamples need t > 1
+    meta = PeakCounts(central=1, side=1, repetition_rate=10e6, integration_time=1e-3)
+    central, side = raw_count_model(0.93, 0.5, RAW_GEOM, meta)
+    counts = PeakCounts(central, side, 10e6, 1e-3)
+    with caplog.at_level(logging.WARNING, logger="hompurify.histogram_fit"):
+        sigma_t, sigma_v = mc_uncertainty(counts, RAW_GEOM, 500, seed=3)
+    assert np.isfinite(sigma_t) and np.isfinite(sigma_v)
+    assert "3/500 resamples" in caplog.text and "t <= 1" in caplog.text
+    central, side = raw_count_model(0.97, 0.5, RAW_GEOM, meta)
+    counts = PeakCounts(central, side, 10e6, 1e-3)
+    with pytest.raises(FitError, match=r"70/500 resamples .*t <= 1 fails for 70"):
+        mc_uncertainty(counts, RAW_GEOM, 500, seed=3)
+
+
 def test_read_peak_counts(tmp_path):
     path = tmp_path / "peaks.txt"
     path.write_text("# peak_index counts\n-2 101\n-1 99\n0 37\n1 103\n2 97\n")
@@ -194,6 +267,12 @@ def test_read_rejects_malformed(tmp_path):
     path.write_text("1 2 \nnot numbers\n")
     with pytest.raises(ValueError, match="two columns|non-numeric"):
         read_peak_counts(path)
+    path.write_text("0 10\n1 nan\n")
+    with pytest.raises(ValueError, match="bad.txt:2: counts must be finite"):
+        read_peak_counts(path)
+    path.write_text("0.0 10\ninf 3\n")
+    with pytest.raises(ValueError, match="bad.txt:2: time_bin_ns must be finite"):
+        read_histogram(path)
 
 
 def test_format_fit_report_keys():
