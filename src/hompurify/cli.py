@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -74,17 +75,47 @@ def _require(mapping: dict, field: str, context: str):
     return mapping[field]
 
 
+# (predicate, description) ranges for `_checked`
+_ANY = (lambda v: True, "a number")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "a number >= 0")
+_POSITIVE = (lambda v: v > 0.0, "a positive number")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_G2 = (lambda v: 0.0 <= v < 0.5, "a number in [0, 0.5)")
+
+
+def _checked(value, field: str, rule, context: str | None = None) -> float:
+    """`value` as a finite float inside `rule`, or a ConfigError naming
+    `field` and the expected range."""
+    ok, expect = rule
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and ok(number)):
+        prefix = f"{context}: " if context else ""
+        raise ConfigError(f"{prefix}{field} must be {expect}, got {value!r}")
+    return number
+
+
+def _fractions(values, field: str, count: int, context: str) -> list[float]:
+    """A list of `count` numbers in [0, 1]."""
+    if not isinstance(values, list) or len(values) != count:
+        raise ConfigError(f"{context}: {field!r} must list {count} numbers in [0, 1]")
+    return [_checked(v, f"{field!r}[{i}]", _UNIT, context) for i, v in enumerate(values)]
+
+
 def _noise_from(entry: dict, context: str) -> protocol.NoiseConfig:
-    refl = entry.get("reflectivities", [0.5, 0.5, 0.5])
-    if len(refl) != 3:
-        raise ConfigError(f"{context}: reflectivities must list [r1, r2, r_final]")
+    r1, r2, r_final = _fractions(entry.get("reflectivities", [0.5] * 3), "reflectivities", 3, context)
+    transmissions = entry.get("transmissions")
+    if transmissions is not None:
+        transmissions = _fractions(transmissions, "transmissions", 6, context)
     try:
         return protocol.NoiseConfig(
-            g2=float(entry.get("g2", 0.0)),
-            r1=float(refl[0]),
-            r2=float(refl[1]),
-            r_final=float(refl[2]),
-            transmissions=entry.get("transmissions"),
+            g2=_checked(entry.get("g2", 0.0), "'g2'", _G2, context),
+            r1=r1,
+            r2=r2,
+            r_final=r_final,
+            transmissions=transmissions,
             loss_stage=entry.get("loss_stage", "input"),
         )
     except ValueError as exc:
@@ -93,19 +124,24 @@ def _noise_from(entry: dict, context: str) -> protocol.NoiseConfig:
 
 def _scenario_from(entry: dict, index: int) -> protocol.Scenario:
     context = f"scenario[{index}]"
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{context}: expected an object, got {entry!r}")
     model = _require(entry, "model", context)
     noise = _noise_from(entry, context)
-    c = entry.get("c")
-    if c is None and "c2" in entry:
-        c = float(np.sqrt(entry["c2"]))
+    c = _overlap(entry, context)
+    x, theta = entry.get("x"), entry.get("theta_deg")
+    if x is not None:
+        x = _checked(x, "'x'", _NON_NEGATIVE, context)
+    if theta is not None:
+        theta = _checked(theta, "'theta_deg'", _ANY, context)
     try:
         return protocol.Scenario(
             scenario_id=str(entry.get("id", index)),
             model=model,
             noise=noise,
             c=c,
-            x=entry.get("x"),
-            theta_deg=entry.get("theta_deg"),
+            x=x,
+            theta_deg=theta,
             direction=entry.get("direction", "same"),
         )
     except ValueError as exc:
@@ -115,18 +151,26 @@ def _scenario_from(entry: dict, index: int) -> protocol.Scenario:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     entries = _require(config, "scenarios", args.config)
+    if not isinstance(entries, list):
+        raise ConfigError(f"{args.config}: 'scenarios' must be a list of scenario objects")
     scenarios = [_scenario_from(e, i) for i, e in enumerate(entries)]
     rows = [protocol.evaluate_scenario(s) for s in scenarios]
     write_rows(rows, config, args.out, args.format)
     return EXIT_OK
 
 
-def _grid(config: dict, context: str) -> np.ndarray:
-    start = float(_require(config, "start", context))
-    stop = float(_require(config, "stop", context))
-    points = int(_require(config, "points", context))
+def _grid(config: dict, context: str, rule) -> np.ndarray:
+    """The sweep grid; `start` and `stop` must lie inside `rule`."""
+    start, stop = (
+        _checked(_require(config, field, context), repr(field), rule, context)
+        for field in ("start", "stop")
+    )
+    try:
+        points = int(_require(config, "points", context))
+    except (TypeError, ValueError):
+        points = 0
     if points < 1:
-        raise ConfigError(f"{context}: empty grid")
+        raise ConfigError(f"{context}: 'points' must be a positive integer")
     return np.linspace(start, stop, points)
 
 
@@ -148,20 +192,25 @@ def _sweep_visibility_row(v_raw: float, models: tuple[str, ...], g2: float) -> d
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    kind = _require(config, "sweep", args.config)
-    grid = _grid(config, args.config)
+    context = args.config
+    kind = _require(config, "sweep", context)
     if kind == "raw_visibility":
         models = tuple(config.get("models", ["multipermanent", "pure_dephasing", "multipermanent_g2"]))
-        g2 = float(config.get("g2", 0.0))
-        rows = [_sweep_visibility_row(float(v), models, g2) for v in grid]
+        g2 = _checked(config.get("g2", 0.0), "'g2'", _G2, context)
+        rule = _UNIT
+        if "pure_dephasing" in models:  # x = 1 / v_raw - 1
+            rule = (lambda v: 0.0 < v <= 1.0, "a number in (0, 1] for the pure_dephasing model")
+        rows = [_sweep_visibility_row(float(v), models, g2) for v in _grid(config, context, rule)]
     elif kind == "polarization":
-        rows = protocol.polarization_bounds(grid)
+        rows = protocol.polarization_bounds(_grid(config, context, _ANY))
     elif kind in ("first_bs", "second_bs", "final_bs"):
-        c = _sweep_overlap(config, args.config)
-        which = kind.split("_")[0]
-        rows = protocol.bs_sweep(which, grid, c, g2=float(config.get("g2", 0.0)))
+        grid = _grid(config, context, _UNIT)
+        c = _overlap(config, context, required=True)
+        g2 = _checked(config.get("g2", 0.0), "'g2'", _G2, context)
+        rows = protocol.bs_sweep(kind.split("_")[0], grid, c, g2=g2)
     elif kind == "g2":
-        c = _sweep_overlap(config, args.config)
+        grid = _grid(config, context, _G2)
+        c = _overlap(config, context, required=True)
         rows = []
         for g2 in grid:
             v_raw, v_pure = protocol.multiphoton_visibility(c, float(g2))
@@ -170,22 +219,29 @@ def cmd_sweep(args) -> int:
             )
     else:
         raise ConfigError(
-            f"{args.config}: unknown sweep {kind!r} "
+            f"{context}: unknown sweep {kind!r} "
             "(expected raw_visibility, polarization, first_bs, second_bs, final_bs or g2)"
         )
     write_rows(rows, config, args.out, args.format)
     return EXIT_OK
 
 
-def _sweep_overlap(config: dict, context: str) -> float:
+def _overlap(config: dict, context: str, required: bool = False) -> float | None:
+    """The overlap c, given as 'c' or as 'c2' = c**2."""
     if "c" in config:
-        return float(config["c"])
+        return _checked(config["c"], "'c'", _UNIT, context)
     if "c2" in config:
-        return float(np.sqrt(config["c2"]))
-    raise ConfigError(f"{context}: missing required field 'c' (or 'c2')")
+        return float(np.sqrt(_checked(config["c2"], "'c2'", _UNIT, context)))
+    if required:
+        raise ConfigError(f"{context}: missing required field 'c' (or 'c2')")
+    return None
 
 
 def cmd_fit(args) -> int:
+    _checked(args.demux_split, "--demux-split", _UNIT)
+    _checked(args.split_reflectivity, "--split-reflectivity", _UNIT)
+    _checked(args.rate, "--rate", _POSITIVE)
+    _checked(args.time, "--time", _POSITIVE)
     geometry = histogram_fit.SetupGeometry(
         demux_split=args.demux_split,
         split_bs_reflectivity=args.split_reflectivity,
@@ -193,8 +249,8 @@ def cmd_fit(args) -> int:
     )
     if geometry.mode == "purified" and args.v_raw is None:
         raise ConfigError("purified-mode fit requires --v-raw from a prior raw fit")
-    if args.v_raw is not None and not 0.0 <= args.v_raw <= 1.0:
-        raise ConfigError(f"--v-raw must lie in [0, 1], got {args.v_raw}")
+    if args.v_raw is not None:
+        _checked(args.v_raw, "--v-raw", _UNIT)
     if args.mc_resamples and args.mc_resamples < histogram_fit.MIN_RESAMPLES:
         raise ConfigError(f"--mc-resamples must be 0 or at least {histogram_fit.MIN_RESAMPLES}")
     if args.mc_resamples and args.seed is None:
@@ -242,11 +298,23 @@ def cmd_mc_dephasing(args) -> int:
     if args.seed is None:
         raise ConfigError("mc-dephasing requires --seed")
     if args.x is not None:
-        params = distinguishability.DephasingParams.from_x(args.x)
+        params = distinguishability.DephasingParams.from_x(_checked(args.x, "--x", _NON_NEGATIVE))
     elif args.gamma is not None and args.gamma_d is not None:
-        params = distinguishability.DephasingParams(gamma=args.gamma, gamma_d=args.gamma_d)
+        params = distinguishability.DephasingParams(
+            gamma=_checked(args.gamma, "--gamma", _POSITIVE),
+            gamma_d=_checked(args.gamma_d, "--gamma-d", _NON_NEGATIVE),
+        )
     else:
         raise ConfigError("give either --x or both --gamma and --gamma-d")
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2 for standard errors, got {args.samples}")
+    if args.photons < 4:
+        raise ConfigError(
+            f"--photons must be at least 4 for the four-photon cycle, got {args.photons}"
+        )
+    for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
+        if value is not None:
+            _checked(value, flag, _POSITIVE)
     samples = distinguishability.sample_dephased_overlaps(
         params, n_photons=args.photons, n_samples=args.samples, seed=args.seed,
         dt=args.dt, horizon=args.horizon,

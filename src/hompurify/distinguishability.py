@@ -11,6 +11,9 @@ import numpy as np
 
 from .permanents import DistinguishabilityMatrix
 
+# Time steps per block of the dephasing sampler's Gram accumulation.
+_TIME_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class DephasingParams:
@@ -110,8 +113,17 @@ def sample_dephased_overlaps(
     (n_samples, n_photons, n_photons) array of sampled Gram matrices whose
     mean |S[i, j]|^2 converges to `dephasing_overlap`.
 
+    The phase theta = phi + delta t leaves |f|^2 alone, so every wavepacket
+    has the same closed-form norm and S[i, j] = sum_t W_t exp(i (theta_i -
+    theta_j)) with one density W = w gamma e^(-gamma t) / sum(w gamma
+    e^(-gamma t)). The sums are taken in real arithmetic: over time blocks
+    of `_TIME_BLOCK` steps, A = [cos theta; sin theta] gives (A W) A^T,
+    whose cos/sin blocks make Re S = CC + SS and Im S = SC - CS. Memory is
+    bounded by one chunk of draws, (chunk, n_photons, steps) floats, plus
+    one block, whatever `n_samples` is.
+
     A seed is required: sampling is deterministic given
-    (seed, dt, horizon, n_samples).
+    (seed, dt, horizon, n_samples); `chunk` does not change the result.
     """
     if seed is None:
         raise ValueError("a seed is required; no ambient randomness")
@@ -128,32 +140,42 @@ def sample_dephased_overlaps(
 
     t = np.arange(0.0, horizon + dt / 2, dt)
     nt = t.size
-    weights = np.full(nt, dt)
-    weights[0] = weights[-1] = dt / 2
-    envelope = np.sqrt(gamma) * np.exp(-gamma * t / 2.0)
-    det_phase = np.exp(-1j * deltas[:, None] * t[None, :])
+    density = np.full(nt, dt)
+    density[0] = density[-1] = dt / 2
+    density *= gamma * np.exp(-gamma * t)
+    density /= density.sum()
+    det_phase = deltas[:, None] * t[None, :] if deltas.any() else None
 
     rng = np.random.default_rng(seed)
     sigma_step = np.sqrt(2.0 * gamma_d * dt)
-    out = np.empty((n_samples, n_photons, n_photons), dtype=complex)
-    done = 0
-    while done < n_samples:
+    p = n_photons
+    out = np.empty((n_samples, p, p), dtype=complex)
+    for done in range(0, n_samples, chunk):
         b = min(chunk, n_samples - done)
         if gamma_d > 0:
-            steps = rng.normal(scale=sigma_step, size=(b, n_photons, nt))
-            steps[:, :, 0] = 0.0
-            phi = np.cumsum(steps, axis=2)
+            phi = rng.normal(scale=sigma_step, size=(b, p, nt))
+            phi[:, :, 0] = 0.0
+            np.cumsum(phi, axis=2, out=phi)
         else:
-            phi = np.zeros((b, n_photons, nt))
-        f = envelope[None, None, :] * det_phase[None, :, :] * np.exp(-1j * phi)
-        norms = np.sqrt(np.einsum("t,bpt->bp", weights, np.abs(f) ** 2))
-        f /= norms[:, :, None]
-        # S[b, i, j] = sum_t w_t conj(f_i) f_j
-        grams = np.einsum("t,bit,bjt->bij", weights, f.conj(), f)
+            phi = np.zeros((1, p, nt))  # every sample is the same
+        acc = np.zeros((len(phi), 2 * p, 2 * p))
+        cos_sin = np.empty((len(phi), 2 * p, _TIME_BLOCK))
+        for lo in range(0, nt, _TIME_BLOCK):
+            block = slice(lo, lo + _TIME_BLOCK)
+            theta = phi[:, :, block]
+            if det_phase is not None:
+                theta = theta + det_phase[:, block]
+            a = cos_sin[:, :, : theta.shape[2]]
+            np.cos(theta, out=a[:, :p])
+            np.sin(theta, out=a[:, p:])
+            acc += (a * density[block]) @ a.transpose(0, 2, 1)
+        cc, cs = acc[:, :p, :p], acc[:, :p, p:]
+        sc, ss = acc[:, p:, :p], acc[:, p:, p:]
+        grams = (cc + ss) + 1j * (sc - cs)
         # enforce exact unit diagonal / Hermiticity against roundoff
         grams = 0.5 * (grams + grams.conj().transpose(0, 2, 1))
-        idx = np.arange(n_photons)
+        idx = np.arange(p)
         grams[:, idx, idx] = 1.0
         out[done : done + b] = grams
-        done += b
+        del phi, theta, a, cos_sin, acc  # free this chunk before the next draw
     return out

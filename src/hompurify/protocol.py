@@ -89,8 +89,8 @@ class Scenario:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "constant" and self.c is None:
             raise ValueError("constant model needs an overlap c")
-        if self.model == "pure_dephasing" and self.x is None:
-            raise ValueError("pure_dephasing model needs x = 2*gamma_d/gamma")
+        if self.model == "pure_dephasing" and (self.x is None or self.x < 0):
+            raise ValueError("pure_dephasing model needs x = 2*gamma_d/gamma >= 0")
         if self.model == "polarization":
             if self.theta_deg is None:
                 raise ValueError("polarization model needs theta_deg")

@@ -4,7 +4,9 @@ Everything here is deliberately written from first principles (polynomial
 creation-operator algebra, plain permutation sums, brute-force path
 enumeration) and shares no code path with the package kernels it checks.
 The least-squares count fits share only the forward count model with the
-package; they check its closed-form inversion.
+package; they check its closed-form inversion. The complex-exponential
+dephasing sampler is the package's earlier sampler, kept to pin the real
+cos/sin accumulation that replaced it.
 """
 
 from __future__ import annotations
@@ -355,3 +357,62 @@ def fit_joint(raw_counts, pure_counts, raw_geometry, pure_geometry, grid=7, refi
     if not best.success:
         raise RuntimeError("joint fit did not converge")
     return float(best.x[0]), float(best.x[1]), float(best.x[2])
+
+
+def complex_dephased_overlaps(
+    params,
+    n_photons: int,
+    n_samples: int,
+    dt: float | None = None,
+    horizon: float | None = None,
+    seed: int | None = None,
+    chunk: int = 1000,
+) -> np.ndarray:
+    """Monte Carlo Gram matrices of dephased wavepackets built as complex
+    exponentials: each sample's wavepackets are formed in full, normalised
+    numerically and contracted with one complex einsum. Same arguments,
+    draws and output as `hompurify.sample_dephased_overlaps`."""
+    if seed is None:
+        raise ValueError("a seed is required; no ambient randomness")
+    if n_photons < 2:
+        raise ValueError("need at least two photons for overlaps")
+    gamma, gamma_d = params.gamma, params.gamma_d
+    dt = 0.01 / gamma if dt is None else float(dt)
+    horizon = 15.0 / gamma if horizon is None else float(horizon)
+    if dt <= 0 or horizon <= 0:
+        raise ValueError("dt and horizon must be positive")
+    deltas = np.zeros(n_photons) if not params.deltas else np.asarray(params.deltas, float)
+    if deltas.shape != (n_photons,):
+        raise ValueError("one detuning per photon required")
+
+    t = np.arange(0.0, horizon + dt / 2, dt)
+    nt = t.size
+    weights = np.full(nt, dt)
+    weights[0] = weights[-1] = dt / 2
+    envelope = np.sqrt(gamma) * np.exp(-gamma * t / 2.0)
+    det_phase = np.exp(-1j * deltas[:, None] * t[None, :])
+
+    rng = np.random.default_rng(seed)
+    sigma_step = np.sqrt(2.0 * gamma_d * dt)
+    out = np.empty((n_samples, n_photons, n_photons), dtype=complex)
+    done = 0
+    while done < n_samples:
+        b = min(chunk, n_samples - done)
+        if gamma_d > 0:
+            steps = rng.normal(scale=sigma_step, size=(b, n_photons, nt))
+            steps[:, :, 0] = 0.0
+            phi = np.cumsum(steps, axis=2)
+        else:
+            phi = np.zeros((b, n_photons, nt))
+        f = envelope[None, None, :] * det_phase[None, :, :] * np.exp(-1j * phi)
+        norms = np.sqrt(np.einsum("t,bpt->bp", weights, np.abs(f) ** 2))
+        f /= norms[:, :, None]
+        # S[b, i, j] = sum_t w_t conj(f_i) f_j
+        grams = np.einsum("t,bit,bjt->bij", weights, f.conj(), f)
+        # enforce exact unit diagonal / Hermiticity against roundoff
+        grams = 0.5 * (grams + grams.conj().transpose(0, 2, 1))
+        idx = np.arange(n_photons)
+        grams[:, idx, idx] = 1.0
+        out[done : done + b] = grams
+        done += b
+    return out

@@ -231,6 +231,11 @@ def test_fit_rejects_non_finite_counts(tmp_path, capsys, kind, text, field):
         (["--mc-resamples", "-5", "--seed", "1"], "--mc-resamples"),
         (["--mode", "pure", "--v-raw", "1.5"], "--v-raw"),
         (["--mode", "pure", "--v-raw", "-0.1"], "--v-raw"),
+        (["--demux-split", "1.5"], "--demux-split"),
+        (["--split-reflectivity", "-0.1"], "--split-reflectivity"),
+        (["--split-reflectivity", "nan"], "--split-reflectivity"),
+        (["--input-kind", "histogram", "--rate", "nan"], "--rate"),
+        (["--time", "0"], "--time"),
     ],
 )
 def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
@@ -238,6 +243,57 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
     argv = ["fit", "--counts", path, "--mode", "raw", "--time", "30"]
     code, _, err = run_cli(capsys, *argv, *flags)
     assert code == 2
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"scenarios": [{"model": "pure_dephasing", "x": -1}]}, "'x'"),
+        ({"scenarios": [{"model": "pure_dephasing", "x": "abc"}]}, "'x'"),
+        ({"scenarios": [{"model": "constant", "c": 1.5}]}, "'c'"),
+        ({"scenarios": [{"model": "constant", "c": "abc"}]}, "'c'"),
+        ({"scenarios": [{"model": "constant", "c2": -0.2}]}, "'c2'"),
+        ({"scenarios": [{"model": "constant", "c": 0.9, "g2": 0.5}]}, "'g2'"),
+        ({"scenarios": [{"model": "polarization", "theta_deg": "ten"}]}, "'theta_deg'"),
+        ({"scenarios": [{"model": "constant", "c": 0.9, "reflectivities": "abc"}]},
+         "'reflectivities'"),
+        ({"scenarios": [{"model": "constant", "c": 0.9, "transmissions": [1.5] + [1] * 5}]},
+         "'transmissions'[0]"),
+        ({"scenarios": {"a": {"model": "constant", "c": 0.9}}}, "'scenarios'"),
+        ({"scenarios": ["constant"]}, "scenario[0]"),
+    ],
+    ids=["x-negative", "x-text", "c-above-1", "c-text", "c2-negative", "g2-half",
+         "theta-text", "reflectivities-text", "transmission-above-1", "scenarios-object",
+         "scenario-not-object"],
+)
+def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
+    config = write_json(tmp_path, "bad.json", payload)
+    code, _, err = run_cli(capsys, "simulate", "--config", config)
+    assert code == 2, err
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"sweep": "raw_visibility", "start": 0.0, "stop": 1.0, "points": 3,
+          "models": ["pure_dephasing"]}, "'start'"),
+        ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.2, "points": 3,
+          "models": ["multipermanent"]}, "'stop'"),
+        ({"sweep": "g2", "start": 0.0, "stop": 0.5, "points": 3, "c": 0.9}, "'stop'"),
+        ({"sweep": "g2", "start": 0.0, "stop": 0.2, "points": 3, "c": 1.5}, "'c'"),
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 2, "c2": "abc"}, "'c2'"),
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": "two", "c": 0.9},
+         "'points'"),
+    ],
+    ids=["v-raw-zero-pure-dephasing", "v-raw-above-1", "g2-half", "c-above-1", "c2-text",
+         "points-text"],
+)
+def test_sweep_rejects_bad_config(tmp_path, capsys, payload, field):
+    config = write_json(tmp_path, "bad.json", payload)
+    code, _, err = run_cli(capsys, "sweep", "--config", config)
+    assert code == 2, err
     assert field in err
 
 
@@ -268,3 +324,25 @@ def test_mc_dephasing_requires_seed(capsys):
     code, _, err = run_cli(capsys, "mc-dephasing", "--x", "0.2", "--samples", "100")
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--x", "-1"], "--x"),
+        (["--x", "nan"], "--x"),
+        (["--x", "0.2", "--samples", "0"], "--samples"),
+        (["--x", "0.2", "--samples", "1"], "--samples"),
+        (["--x", "0.2", "--photons", "3"], "--photons"),
+        (["--x", "0.2", "--dt", "-1"], "--dt"),
+        (["--x", "0.2", "--horizon", "0"], "--horizon"),
+        (["--gamma", "0", "--gamma-d", "0.1"], "--gamma"),
+        (["--gamma", "-1", "--gamma-d", "0.1"], "--gamma"),
+        (["--gamma", "1", "--gamma-d", "-0.1"], "--gamma-d"),
+    ],
+)
+def test_mc_dephasing_rejects_bad_flags(capsys, flags, field):
+    code, out, err = run_cli(capsys, "mc-dephasing", "--seed", "1", "--samples", "20", *flags)
+    assert code == 2, err
+    assert field in err
+    assert out == ""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hompurify import (
     polarization_S,
     sample_dephased_overlaps,
 )
+from oracles import complex_dephased_overlaps
 
 
 def test_constant_overlap_limits():
@@ -91,6 +94,7 @@ def test_sampler_deterministic():
     a = sample_dephased_overlaps(p, 2, 50, seed=123)
     b = sample_dephased_overlaps(p, 2, 50, seed=123)
     assert np.array_equal(a, b)
+    assert np.array_equal(a, sample_dephased_overlaps(p, 2, 50, seed=123, chunk=7))
     c = sample_dephased_overlaps(p, 2, 50, seed=124)
     assert not np.array_equal(a, c)
 
@@ -98,7 +102,43 @@ def test_sampler_deterministic():
 def test_sampler_no_dephasing_gives_all_ones():
     p = DephasingParams(gamma=1.0, gamma_d=0.0)
     grams = sample_dephased_overlaps(p, 3, 5, seed=1)
-    assert np.max(np.abs(grams - 1.0)) < 1e-6
+    assert np.max(np.abs(grams - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "params, n_photons, n_samples, kwargs",
+    [
+        (DephasingParams.from_x(0.2), 4, 120, {}),
+        (DephasingParams(gamma=2.0, gamma_d=0.7), 4, 60, {}),
+        (DephasingParams(gamma=1.0, gamma_d=0.3, deltas=(1.0, 0.0, -0.5, 2.0)), 4, 60, {}),
+        (DephasingParams(gamma=1.0, gamma_d=0.0, deltas=(1.0, 0.0, -0.5)), 3, 5, {}),
+        (DephasingParams.from_x(0.5), 2, 60, {}),
+        (DephasingParams.from_x(0.5), 3, 60, {}),
+        (DephasingParams.from_x(0.5), 5, 60, {}),
+        (DephasingParams.from_x(0.2), 4, 100, {"chunk": 37}),
+        (DephasingParams.from_x(0.2), 3, 60, {"dt": 0.05, "horizon": 10.0}),  # 201 steps
+        (DephasingParams.from_x(0.2), 3, 60, {"dt": 0.01, "horizon": 7.3}),  # 731 steps
+    ],
+    ids=["x0.2", "gamma2-gd0.7", "deltas-gd0.3", "deltas-gd0", "p2", "p3", "p5",
+         "chunk37", "nt201", "nt731"],
+)
+def test_sampler_matches_complex_oracle(params, n_photons, n_samples, kwargs):
+    got = sample_dephased_overlaps(params, n_photons, n_samples, seed=9, **kwargs)
+    want = complex_dephased_overlaps(params, n_photons, n_samples, seed=9, **kwargs)
+    assert got.shape == want.shape == (n_samples, n_photons, n_photons)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_sampler_memory_bounded_by_one_chunk():
+    # two chunks of 1000 draws; the bound is one chunk of phases (48 MB)
+    # plus one time block, not the number of samples
+    tracemalloc.start()
+    try:
+        sample_dephased_overlaps(DephasingParams.from_x(0.2), 4, 2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_sampler_mean_matches_analytic_overlap():

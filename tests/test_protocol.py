@@ -306,6 +306,8 @@ def test_scenario_validation_and_rows():
         Scenario("s", "constant")
     with pytest.raises(ValueError):
         Scenario("s", "unknown", c=0.5)
+    with pytest.raises(ValueError, match="x = 2"):
+        Scenario("s", "pure_dephasing", x=-1.0)
     row = evaluate_scenario(Scenario("ideal", "constant", c=1.0))
     assert row["v_raw"] == pytest.approx(1.0)
     assert row["v_pure"] == pytest.approx(1.0)
