@@ -4,9 +4,8 @@ purification of photon indistinguishability."""
 from .circuits import (
     TransferMatrix,
     beamsplitter,
-    compose,
+    purifier_circuits,
     purifier_pair_circuit,
-    purifier_stages,
     reference_circuit,
     with_loss,
 )

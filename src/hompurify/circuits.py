@@ -2,8 +2,9 @@
 its no-interference reference, and loss via unitary dilation.
 
 Convention: matrices act in the applied sense, column q holds the output
-amplitudes of a single photon entering mode q, and stages compose right to
-left (last optical element = leftmost factor).
+amplitudes of a single photon entering mode q, so `purifier_circuits`
+multiplies its stages right to left (last optical element = leftmost
+factor).
 
 Purifier mode layout (0-indexed):
 
@@ -20,34 +21,32 @@ from dataclasses import dataclass
 import numpy as np
 
 UNITARY_TOL = 1e-10
+LOSS_STAGES = ("input", "after_first_bs")
 
 
 @dataclass(frozen=True)
 class TransferMatrix:
     """Complex mode transformation of a passive circuit.
 
-    Ancilla modes introduced by loss dilation sit after the physical modes
-    and are listed in `loss_modes`; they start in vacuum and are never
+    Ancilla modes introduced by loss dilation sit after the `n_physical`
+    physical modes (`loss_modes`); they start in vacuum and are never
     monitored.
     """
 
     matrix: np.ndarray
     n_physical: int
-    loss_modes: tuple[int, ...] = ()
 
-    def __init__(self, matrix, n_physical=None, loss_modes=()):
+    def __init__(self, matrix, n_physical=None):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("transfer matrix must be square")
-        n_physical = m.shape[0] - len(loss_modes) if n_physical is None else int(n_physical)
-        loss_modes = tuple(int(i) for i in loss_modes)
-        if loss_modes != tuple(range(n_physical, m.shape[0])):
-            raise ValueError("loss ancillas must be the trailing modes")
+        n_physical = m.shape[0] if n_physical is None else int(n_physical)
+        if not 0 <= n_physical <= m.shape[0]:
+            raise ValueError("n_physical must lie between 0 and the mode count")
         if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=UNITARY_TOL):
             raise ValueError("matrix is not unitary within tolerance")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n_physical", n_physical)
-        object.__setattr__(self, "loss_modes", loss_modes)
 
     @property
     def n_modes(self) -> int:
@@ -55,7 +54,11 @@ class TransferMatrix:
 
     @property
     def n_ancilla(self) -> int:
-        return len(self.loss_modes)
+        return self.n_modes - self.n_physical
+
+    @property
+    def loss_modes(self) -> tuple[int, ...]:
+        return tuple(range(self.n_physical, self.n_modes))
 
 
 def _bs_block(reflectivity: float) -> np.ndarray:
@@ -87,85 +90,65 @@ def beamsplitter(reflectivity: float, modes: tuple[int, int], total_modes: int) 
     return TransferMatrix(beamsplitter_matrix(reflectivity, modes, total_modes))
 
 
-def compose(later: TransferMatrix, earlier: TransferMatrix) -> TransferMatrix:
-    """Apply `earlier` first, then `later`; the narrower matrix is padded
-    with identity on the other's loss ancillas."""
-    if later.n_physical != earlier.n_physical:
-        raise ValueError("stages act on different physical mode counts")
-    if later.loss_modes and earlier.loss_modes:
-        raise ValueError("at most one stage per composition may carry loss ancillas")
-    total = max(later.n_modes, earlier.n_modes)
-
-    def pad(t: TransferMatrix) -> np.ndarray:
-        if t.n_modes == total:
-            return t.matrix
-        out = np.eye(total, dtype=complex)
-        out[: t.n_modes, : t.n_modes] = t.matrix
-        return out
-
-    return TransferMatrix(
-        pad(later) @ pad(earlier),
-        n_physical=later.n_physical,
-        loss_modes=tuple(range(later.n_physical, total)),
-    )
+def _loss_couplers(transmissions, n_physical: int, n_modes: int) -> np.ndarray | None:
+    """Couplers of reflectivity 1 - transmission from each lossy physical
+    mode to a vacuum ancilla numbered from `n_modes` on; None if no loss."""
+    transmissions = [float(x) for x in transmissions]
+    if len(transmissions) != n_physical:
+        raise ValueError("one transmission per physical mode required")
+    if any(not 0.0 <= x <= 1.0 for x in transmissions):
+        raise ValueError("transmissions must be in [0, 1]")
+    lossy = [i for i, x in enumerate(transmissions) if x < 1.0 - 1e-15]
+    if not lossy:
+        return None
+    total = n_modes + len(lossy)
+    loss = np.eye(total, dtype=complex)
+    for a, i in enumerate(lossy):
+        loss = beamsplitter_matrix(1.0 - transmissions[i], (i, n_modes + a), total) @ loss
+    return loss
 
 
-def purifier_stages(r1: float, r2: float, r_final: float):
-    """The three stages of the two-copy purifier as separate 6-mode
-    transfer matrices, in propagation order."""
-    first = TransferMatrix(
-        beamsplitter_matrix(r1, (0, 1), 6) @ beamsplitter_matrix(r1, (4, 5), 6)
-    )
-    second = TransferMatrix(
-        beamsplitter_matrix(r2, (1, 2), 6) @ beamsplitter_matrix(r2, (3, 4), 6)
-    )
-    final = TransferMatrix(beamsplitter_matrix(r_final, (2, 3), 6))
-    return first, second, final
+def purifier_circuits(
+    r1: float, r2: float, r_final: float, transmissions=None, loss_stage: str = "input"
+) -> tuple[TransferMatrix, TransferMatrix]:
+    """The two-copy purifier `out` and its reference `ref`, which lacks the
+    final coupler on (2, 3): first couplers (0, 1), (4, 5) of reflectivity
+    r1, second couplers (1, 2), (3, 4) of reflectivity r2. Per-mode
+    `transmissions` add one vacuum ancilla per lossy mode, coupled at the
+    inputs or after the first couplers (`loss_stage`)."""
+    if loss_stage not in LOSS_STAGES:
+        raise ValueError(f"loss_stage must be one of {LOSS_STAGES}")
+    loss = None if transmissions is None else _loss_couplers(transmissions, 6, 6)
+    n = 6 if loss is None else loss.shape[0]
+    first = beamsplitter_matrix(r1, (0, 1), n) @ beamsplitter_matrix(r1, (4, 5), n)
+    second = beamsplitter_matrix(r2, (1, 2), n) @ beamsplitter_matrix(r2, (3, 4), n)
+    if loss is not None and loss_stage == "after_first_bs":
+        first = loss @ first
+    ref = second @ first
+    out = beamsplitter_matrix(r_final, (2, 3), n) @ ref
+    if loss is not None and loss_stage == "input":
+        ref, out = ref @ loss, out @ loss
+    return TransferMatrix(out, n_physical=6), TransferMatrix(ref, n_physical=6)
 
 
 def purifier_pair_circuit(r1: float, r2: float, r_final: float) -> TransferMatrix:
     """Two copies of the bunch-and-split purifier whose outputs meet at a
     final beamsplitter on modes (2, 3)."""
-    first, second, final = purifier_stages(r1, r2, r_final)
-    return compose(final, compose(second, first))
+    return purifier_circuits(r1, r2, r_final)[0]
 
 
 def reference_circuit(r1: float, r2: float) -> TransferMatrix:
     """Purifier pair with the final coupler replaced by an identity, so the
     purified photons reach their detectors without interfering."""
-    first, second, _ = purifier_stages(r1, r2, 0.0)
-    return compose(second, first)
+    return purifier_circuits(r1, r2, 0.0)[1]
 
 
-def with_loss(t: TransferMatrix, transmissions, where: str = "input") -> TransferMatrix:
-    """Dilate `t` with one vacuum ancilla per lossy physical mode, coupled
-    through a beamsplitter of reflectivity 1 - transmission.
-
-    `where` places the loss couplers before ("input") or after ("output")
-    the circuit. Probabilities of physical outcomes follow by summing over
-    all ancilla occupations; `loss_modes` marks the ancillas.
-    """
-    transmissions = [float(x) for x in transmissions]
-    if len(transmissions) != t.n_physical:
-        raise ValueError("one transmission per physical mode required")
-    if any(not 0.0 <= x <= 1.0 for x in transmissions):
-        raise ValueError("transmissions must be in [0, 1]")
-    if where not in ("input", "output"):
-        raise ValueError("where must be 'input' or 'output'")
-    lossy = [i for i, x in enumerate(transmissions) if x < 1.0 - 1e-15]
-    if not lossy:
+def with_loss(t: TransferMatrix, transmissions) -> TransferMatrix:
+    """`t` after input loss: one vacuum ancilla per lossy physical mode
+    (`loss_modes`), over whose occupations outcomes are summed."""
+    loss = _loss_couplers(transmissions, t.n_physical, t.n_modes)
+    if loss is None:
         return t
-    n_new = len(lossy)
-    total = t.n_modes + n_new
-    loss = np.eye(total, dtype=complex)
-    for a, i in enumerate(lossy):
-        anc = t.n_modes + a
-        loss = beamsplitter_matrix(1.0 - transmissions[i], (i, anc), total) @ loss
-    padded = np.eye(total, dtype=complex)
+    padded = np.eye(loss.shape[0], dtype=complex)
     padded[: t.n_modes, : t.n_modes] = t.matrix
-    full = padded @ loss if where == "input" else loss @ padded
-    return TransferMatrix(
-        full,
-        n_physical=t.n_physical,
-        loss_modes=tuple(range(t.n_physical, total)),
-    )
+    return TransferMatrix(padded @ loss, n_physical=t.n_physical)

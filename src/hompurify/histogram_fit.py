@@ -116,9 +116,11 @@ def pure_sub_probabilities(t, v_raw, v_pure, geometry: SetupGeometry) -> dict:
     photon passed on, or both photons on the herald. Bottom copy: b0 / b1 /
     b2 photons reaching the final beamsplitter's lower input.
     """
-    t = _check_unit("t", t)
-    v_raw = _check_unit("v_raw", v_raw)
-    v_pure = _check_unit("v_pure", v_pure)
+    _check_unit("v_pure", v_pure)
+    return _sub_probabilities(_check_unit("t", t), _check_unit("v_raw", v_raw), geometry)
+
+
+def _sub_probabilities(t, v_raw, geometry: SetupGeometry) -> dict:
     r = geometry.split_bs_reflectivity
     h = 1.0 - r  # herald arm of the 45:55 splitter
     p_bunch = 0.25 * (1.0 + v_raw)
@@ -151,10 +153,10 @@ def pure_count_model(t, v_raw, v_pure, geometry: SetupGeometry, counts_meta: Pea
     approximated by the average of the raw and purified values, with an
     explicit correction for the fully-purified sub-case.
     """
-    sub = pure_sub_probabilities(t, v_raw, v_pure, geometry)
     t = _check_unit("t", t)
     v_raw = _check_unit("v_raw", v_raw)
     v_pure = _check_unit("v_pure", v_pure)
+    sub = _sub_probabilities(t, v_raw, geometry)
     trials = counts_meta.trials
     p_central = t**4 * sub["p_bunch"] ** 2 * sub["p_split"] ** 2 * 0.5 * (1.0 - v_pure)
     p_single = 0.5

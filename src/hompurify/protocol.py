@@ -23,7 +23,7 @@ from math import factorial
 
 import numpy as np
 
-from .circuits import TransferMatrix, compose, purifier_stages, with_loss
+from .circuits import LOSS_STAGES, TransferMatrix, purifier_circuits
 from .dephasing import pd_purified
 from .distinguishability import constant_overlap_S, polarization_S, PolarizationState
 from .fock import AssignmentList, ClickPattern, FockState
@@ -41,6 +41,7 @@ RAW_INPUT = FockState((1, 0, 0, 0, 0, 1))
 RAW_INPUT_MODES = (0, 5)
 HERALD_PATTERN = ClickPattern.from_modes(clicked=(1, 4), silent=(0, 5))
 COINCIDENCE_PATTERN = ClickPattern.from_modes(clicked=(2, 3))
+DARK = 2.0**-8  # squared norm below which `_signature_probabilities` rescales
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class NoiseConfig:
             )
             if len(self.transmissions) != 6:
                 raise ValueError("six per-mode transmissions required")
-        if self.loss_stage not in ("input", "after_first_bs"):
+        if self.loss_stage not in LOSS_STAGES:
             raise ValueError("loss_stage must be 'input' or 'after_first_bs'")
 
 
@@ -144,14 +145,30 @@ def _signature_probabilities(
         return np.zeros(p)
     # with one photon per clicked detector none is left for the free modes;
     # dropping them keeps the terms near the result's size (less cancellation)
-    masks, signs = _subset_masks(n_modes, clicked, pattern.silent_modes, n > len(clicked))
+    filled = n == len(clicked)
+    masks, signs = _subset_masks(n_modes, clicked, pattern.silent_modes, not filled)
     u_in = matrix[:, in_modes].transpose(1, 0, 2)  # (p, n_modes, n)
-    # H_T = U_in^dagger diag(1_K) U_in for every subset T, (p, 2**c, n, n)
-    h = (u_in.conj().transpose(0, 2, 1)[:, None] * masks[None, :, None, :]) @ u_in[:, None]
+    weights, shift = masks[None], 0
+    w = np.abs(u_in[:, clicked]) ** 2  # (p, c, n)
+    if filled and min(w.sum(axis=1).min(), w.sum(axis=2).min()) < DARK:
+        # P is linear in |U[m, k]|**2 for each clicked row m and photon k, so
+        # scaling columns, then rows, by powers of two to norms in [0.5, 1) is
+        # exact and keeps nearly dark ones out of the terms' rounding; the
+        # exponent floor keeps every factor finite (notes/decisions.md)
+        e_col = np.maximum(np.frexp(np.sqrt(w.sum(axis=1)))[1], -400)
+        u_in = u_in * np.ldexp(1.0, -e_col)[:, None, :]
+        w = np.ldexp(w, -2 * e_col[:, None, :])
+        e_row = np.maximum(np.frexp(np.sqrt(w.sum(axis=2)))[1], -400)
+        row = np.ones((p, n_modes))
+        row[:, list(clicked)] = np.ldexp(1.0, -2 * e_row)
+        weights = masks[None] * row[:, None, :]
+        shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
+    # H_T = U_in^dagger diag(1_K) U_in for every subset T, rows weighted, (p, 2**c, n, n)
+    h = (u_in.conj().transpose(0, 2, 1)[:, None] * weights[:, :, None, :]) @ u_in[:, None]
     same_mode = in_modes[:, :, None] == in_modes[:, None, :]
     stack = np.concatenate([h, same_mode[:, None]], axis=1) * s_eff[:, None]
     perms = permanent_batch(stack)
-    num = _real_part(perms[:, :-1] @ signs, "signature probability")
+    num = np.ldexp(_real_part(perms[:, :-1] @ signs, "signature probability"), shift)
     norm = _real_part(perms[:, -1], "input-state norm")
     return num / norm
 
@@ -213,18 +230,9 @@ def hom_visibility(
 
 
 def _build_circuits(config: NoiseConfig) -> tuple[TransferMatrix, TransferMatrix]:
-    first, second, final = purifier_stages(config.r1, config.r2, config.r_final)
-    if config.transmissions is None:
-        out = compose(final, compose(second, first))
-        ref = compose(second, first)
-    elif config.loss_stage == "input":
-        out = with_loss(compose(final, compose(second, first)), config.transmissions)
-        ref = with_loss(compose(second, first), config.transmissions)
-    else:  # loss between the first and second beamsplitters
-        lossy_first = with_loss(first, config.transmissions, where="output")
-        out = compose(final, compose(second, lossy_first))
-        ref = compose(second, lossy_first)
-    return out, ref
+    return purifier_circuits(
+        config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
+    )
 
 
 def _constant_or_matrix(c_or_s, n: int = 4) -> np.ndarray:

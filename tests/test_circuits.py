@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hompurify import (
     FockState,
     TransferMatrix,
     beamsplitter,
-    compose,
     output_probability,
+    purifier_circuits,
     purifier_pair_circuit,
-    purifier_stages,
     reference_circuit,
     with_loss,
 )
+from hompurify.circuits import beamsplitter_matrix
 
 from oracles import literal_purifier_matrix
 
@@ -91,14 +93,6 @@ def test_single_photon_path_tracing():
         assert abs(m[2, 0]) ** 2 == pytest.approx(r1 * r2)
 
 
-def test_compose_order():
-    # a photon in mode 0 should see the 'earlier' stage first
-    first = beamsplitter(1.0, (0, 1), 2)   # full swap with phase i
-    second = beamsplitter(0.0, (0, 1), 2)  # identity
-    m = compose(second, first).matrix
-    assert m[1, 0] == pytest.approx(1j)
-
-
 def test_with_loss_trivial_and_single_mode():
     tm = purifier_pair_circuit(0.5, 0.5, 0.5)
     assert with_loss(tm, [1.0] * 6) is tm
@@ -116,11 +110,61 @@ def test_with_loss_validation():
         with_loss(tm, [0.5] * 5)
     with pytest.raises(ValueError):
         with_loss(tm, [1.2] + [1.0] * 5)
+
+
+def test_transfer_matrix_derives_loss_modes():
+    tm = TransferMatrix(np.eye(3), n_physical=1)
+    assert tm.n_ancilla == 2
+    assert tm.loss_modes == (1, 2)
+    assert TransferMatrix(np.eye(3)).loss_modes == ()
     with pytest.raises(ValueError):
-        with_loss(tm, [1.0] * 6, where="middle")
+        TransferMatrix(np.eye(3), n_physical=4)
 
 
-def test_stages_compose_to_full_circuit():
-    first, second, final = purifier_stages(0.5, 0.5, 0.5)
-    recomposed = compose(final, compose(second, first))
-    assert np.allclose(recomposed.matrix, purifier_pair_circuit(0.5, 0.5, 0.5).matrix)
+def test_purifier_circuits_validation():
+    with pytest.raises(ValueError):
+        purifier_circuits(0.5, 0.5, 0.5, [0.5] * 6, loss_stage="middle")
+    with pytest.raises(ValueError):
+        purifier_circuits(0.5, 0.5, 0.5, [0.5] * 5)
+    with pytest.raises(ValueError):
+        purifier_circuits(0.5, 0.5, 0.5, [1.2] + [1.0] * 5)
+
+
+def explicit_purifier(r1, r2, r_final, transmissions, loss_stage):
+    """The purifier and its reference as written-out products of single
+    beamsplitters, last optical element leftmost."""
+    lossy = [i for i, t in enumerate(transmissions or ()) if t < 1.0 - 1e-15]
+    n = 6 + len(lossy)
+    loss = np.eye(n)
+    for a, i in enumerate(lossy):
+        loss = beamsplitter_matrix(1.0 - transmissions[i], (i, 6 + a), n) @ loss
+    first = beamsplitter_matrix(r1, (4, 5), n) @ beamsplitter_matrix(r1, (0, 1), n)
+    second = beamsplitter_matrix(r2, (3, 4), n) @ beamsplitter_matrix(r2, (1, 2), n)
+    if loss_stage == "input":
+        ref = second @ first @ loss
+    else:
+        ref = second @ loss @ first
+    return beamsplitter_matrix(r_final, (2, 3), n) @ ref, ref
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    r1=UNIT, r2=UNIT, r_final=UNIT,
+    transmissions=st.none() | st.lists(UNIT | st.just(1.0), min_size=6, max_size=6),
+    loss_stage=st.sampled_from(("input", "after_first_bs")),
+)
+def test_purifier_circuits_match_explicit_product(r1, r2, r_final, transmissions, loss_stage):
+    out, ref = purifier_circuits(r1, r2, r_final, transmissions, loss_stage)
+    want_out, want_ref = explicit_purifier(r1, r2, r_final, transmissions, loss_stage)
+    for got, want in ((out, want_out), (ref, want_ref)):
+        m = got.matrix
+        assert got.n_physical == 6
+        assert got.loss_modes == tuple(range(6, len(want)))
+        assert np.abs(m @ m.conj().T - np.eye(len(m))).max() <= 1e-12
+        assert np.abs(m - want).max() <= 1e-15
+    assert np.array_equal(
+        purifier_pair_circuit(r1, r2, 0.0).matrix, reference_circuit(r1, r2).matrix
+    )

@@ -55,6 +55,26 @@ def test_raw_model_limits():
         raw_count_model(1.2, 0.5, RAW_GEOM, RAW_META)
 
 
+COUNT_MODELS = {
+    "raw_count_model": lambda t, v_raw, v_pure: raw_count_model(t, v_raw, RAW_GEOM, RAW_META),
+    "pure_sub_probabilities":
+        lambda t, v_raw, v_pure: pure_sub_probabilities(t, v_raw, v_pure, PURE_GEOM),
+    "pure_count_model":
+        lambda t, v_raw, v_pure: pure_count_model(t, v_raw, v_pure, PURE_GEOM, PURE_META),
+}
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1])
+@pytest.mark.parametrize("model,name", [
+    (model, name) for model in COUNT_MODELS for name in ("t", "v_raw", "v_pure")
+    if (model, name) != ("raw_count_model", "v_pure")  # no purified visibility there
+])
+def test_count_models_reject_out_of_range_arguments(model, name, bad):
+    args = {"t": 0.5, "v_raw": 0.8, "v_pure": 0.9, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must lie in"):
+        COUNT_MODELS[model](**args)
+
+
 def test_raw_model_matches_path_enumeration():
     for t, v in [(0.3, 0.9), (0.7, 0.5), (1.0, 0.0), (0.15, 0.9999)]:
         central, side = raw_count_model(t, v, RAW_GEOM, RAW_META)

@@ -290,6 +290,50 @@ def test_visibilities_bounded_for_scenario_battery():
             assert -1e-9 <= v_pure <= 1 + 1e-9
 
 
+@pytest.mark.parametrize("dim", [
+    {"r1": 1.9e-21}, {"r1": 1 - 1e-10}, {"r2": 1e-12}, {"r2": 1 - 1e-9},
+    {"r1": 1e-8, "r2": 1 - 1e-7}, {"transmissions": (1e-8, 1, 1, 1, 1, 0.5)},
+    {"transmissions": (1, 1e-9, 1, 1, 1e-6, 1), "loss_stage": "after_first_bs"},
+])
+def test_nearly_dark_paths_keep_closed_form(dim):
+    """A clicked detector or a photon that the circuit almost never
+    connects leaves the heralded signature orders of magnitude below the
+    inclusion-exclusion terms; the visibilities keep their closed forms
+    V = 4R(1-R)(1+W) - 1 at the balanced final coupler."""
+    c = 0.8
+    v_raw, v_pure = purified_visibility(c, NoiseConfig(**dim))
+    assert v_raw == pytest.approx(c**2, abs=1e-12)
+    assert v_pure == pytest.approx(analytic_purified(c), abs=1e-12)
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+# About half the draws hit a reflectivity or transmission of exactly 0 or 1
+# and are degenerate, hence more examples than PROPERTY's 60.
+@settings(PROPERTY, max_examples=200)
+@given(
+    r1=UNIT, r2=UNIT, r_final=UNIT,
+    transmissions=st.none() | st.lists(UNIT, min_size=6, max_size=6).map(tuple),
+    loss_stage=st.sampled_from(("input", "after_first_bs")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_visibilities_within_unit_range(r1, r2, r_final, transmissions, loss_stage, seed):
+    """At g2 = 0 exactly one photon reaches each of modes 2 and 3 before
+    the final coupler, so 0 <= P_out <= P_ref and -1 <= V <= 1 for any
+    reflectivities, loss and Gram matrix (argument in notes/decisions.md)."""
+    config = NoiseConfig(r1=r1, r2=r2, r_final=r_final,
+                         transmissions=transmissions, loss_stage=loss_stage)
+    s4 = random_gram(4, np.random.default_rng(seed))
+    try:
+        v_raw, v_pure = purified_visibility(s4, config)
+    except ValueError as exc:
+        assert "degenerate heralding" in str(exc)
+        return
+    assert -1 - 1e-12 <= v_raw <= 1 + 1e-12
+    assert -1 - 1e-12 <= v_pure <= 1 + 1e-12
+
+
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(g2=0.6)
