@@ -104,6 +104,26 @@ def _fractions(values, field: str, count: int, context: str) -> list[float]:
     return [_checked(v, f"{field!r}[{i}]", _UNIT, context) for i, v in enumerate(values)]
 
 
+# the fields each scenario model and each sweep kind reads; any other exits 2
+_CIRCUIT = ("g2", "reflectivities", "transmissions", "loss_stage")
+_SCENARIO_FIELDS = {
+    "constant": ("id", "model", "c", "c2", *_CIRCUIT),
+    "polarization": ("id", "model", "theta_deg", "direction", *_CIRCUIT),
+    "pure_dephasing": ("id", "model", "x"),
+}
+_GRID = ("sweep", "start", "stop", "points")
+_SWEEP_FIELDS = {
+    "raw_visibility": (*_GRID, "models", "g2"), "polarization": _GRID, "g2": (*_GRID, "c", "c2"),
+    **dict.fromkeys(("first_bs", "second_bs", "final_bs"), (*_GRID, "c", "c2", "g2")),
+}
+
+
+def _known_fields(config: dict, fields: tuple[str, ...], context: str, what: str) -> None:
+    for key in config:
+        if key not in fields:
+            raise ConfigError(f"{context}: unknown field {key!r} for {what}")
+
+
 def _noise_from(entry: dict, context: str) -> protocol.NoiseConfig:
     r1, r2, r_final = _fractions(entry.get("reflectivities", [0.5] * 3), "reflectivities", 3, context)
     transmissions = entry.get("transmissions")
@@ -127,6 +147,8 @@ def _scenario_from(entry: dict, index: int) -> protocol.Scenario:
     if not isinstance(entry, dict):
         raise ConfigError(f"{context}: expected an object, got {entry!r}")
     model = _require(entry, "model", context)
+    fields = _SCENARIO_FIELDS.get(str(model), tuple(entry))  # an unknown model fails in Scenario
+    _known_fields(entry, fields, context, f"model {model!r}")
     noise = _noise_from(entry, context)
     c = _overlap(entry, context)
     x, theta = entry.get("x"), entry.get("theta_deg")
@@ -151,6 +173,7 @@ def _scenario_from(entry: dict, index: int) -> protocol.Scenario:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     entries = _require(config, "scenarios", args.config)
+    _known_fields(config, ("scenarios",), args.config, "simulate")
     if not isinstance(entries, list):
         raise ConfigError(f"{args.config}: 'scenarios' must be a list of scenario objects")
     scenarios = [_scenario_from(e, i) for i, e in enumerate(entries)]
@@ -194,6 +217,8 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     context = args.config
     kind = _require(config, "sweep", context)
+    fields = _SWEEP_FIELDS.get(str(kind), tuple(config))  # an unknown kind fails below
+    _known_fields(config, fields, context, f"sweep {kind!r}")
     if kind == "raw_visibility":
         models = tuple(config.get("models", ["multipermanent", "pure_dephasing", "multipermanent_g2"]))
         g2 = _checked(config.get("g2", 0.0), "'g2'", _G2, context)

@@ -17,9 +17,9 @@ conditional coincidence equals (1 - V) / 2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -30,17 +30,17 @@ from .fock import AssignmentList, ClickPattern, FockState
 from .permanents import (
     DistinguishabilityMatrix,
     permanent_batch,
+    _as_gram,
     _effective_gram,
     _real_part,
 )
 
 # Purifier mode roles (see circuits module): inputs and detector signature.
-PURIFIER_INPUT = FockState((1, 1, 0, 0, 1, 1))
 PURIFIER_INPUT_MODES = (0, 1, 4, 5)
-RAW_INPUT = FockState((1, 0, 0, 0, 0, 1))
 RAW_INPUT_MODES = (0, 5)
 HERALD_PATTERN = ClickPattern.from_modes(clicked=(1, 4), silent=(0, 5))
 COINCIDENCE_PATTERN = ClickPattern.from_modes(clicked=(2, 3))
+HERALDED_PATTERN = COINCIDENCE_PATTERN.merge(HERALD_PATTERN)
 DARK = 2.0**-8  # squared norm below which `_signature_probabilities` rescales
 
 
@@ -229,39 +229,13 @@ def hom_visibility(
     return 1.0 - 2.0 * p_out / p_ref
 
 
-def _build_circuits(config: NoiseConfig) -> tuple[TransferMatrix, TransferMatrix]:
-    return purifier_circuits(
-        config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
-    )
-
-
-def _constant_or_matrix(c_or_s, n: int = 4) -> np.ndarray:
-    if isinstance(c_or_s, DistinguishabilityMatrix):
-        return c_or_s.entries
+def _constant_or_matrix(c_or_s) -> np.ndarray:
     if np.isscalar(c_or_s):
-        return constant_overlap_S(n, float(c_or_s)).entries
-    arr = np.asarray(c_or_s, dtype=complex)
-    if arr.shape != (n, n):
-        raise ValueError(f"expected an overlap scalar or {n} x {n} Gram matrix")
+        return constant_overlap_S(4, float(c_or_s)).entries
+    arr = _as_gram(c_or_s)
+    if arr.shape != (4, 4):
+        raise ValueError("expected an overlap scalar or 4 x 4 Gram matrix")
     return arr
-
-
-def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[float, float]:
-    """Raw and purified visibilities of one scenario.
-
-    The raw value interferes only the two outer inputs (modes 0 and 5)
-    through the full circuit; the purified value runs all four photons with
-    heralds on the inner detectors.
-    """
-    s4 = _constant_or_matrix(c_or_s, 4)
-    out, ref = _build_circuits(config)
-    v_pure = hom_visibility(
-        out, ref, PURIFIER_INPUT, COINCIDENCE_PATTERN, HERALD_PATTERN, s4
-    )
-    s2 = s4[np.ix_((0, 3), (0, 3))].copy()
-    np.fill_diagonal(s2, 1.0)
-    v_raw = hom_visibility(out, ref, RAW_INPUT, COINCIDENCE_PATTERN, None, s2)
-    return v_raw, v_pure
 
 
 def p2_from_g2(g2: float) -> float:
@@ -272,7 +246,19 @@ def p2_from_g2(g2: float) -> float:
         raise ValueError("g2 must satisfy 0 <= g2 < 0.5")
     if g2 < 1e-6:
         return g2 / 2.0 + g2**2 / 2.0
-    return (1.0 - g2 - np.sqrt(1.0 - 2.0 * g2)) / g2
+    return (1.0 - g2 - sqrt(1.0 - 2.0 * g2)) / g2
+
+
+@lru_cache(maxsize=None)
+def _placements(n_base: int, eta: int) -> np.ndarray:
+    """Photon labels of every placement of eta doubled emissions among
+    n_base inputs, read-only, shape (C(n_base, eta), n_base + eta)."""
+    labels = np.array([
+        sorted([*range(n_base), *doubled])
+        for doubled in itertools.combinations(range(n_base), eta)
+    ])
+    labels.flags.writeable = False
+    return labels
 
 
 def _mixture_signature_probability(
@@ -287,7 +273,8 @@ def _mixture_signature_probability(
     Each occupied input independently carries a doubled emission with
     probability p2; a doubled photon shares its sibling's internal state.
     Sums (1 - p2)^(N - eta) * p2^eta * P_eta over all placements; the
-    placements of one eta share one stacked signature evaluation.
+    placements of one eta share one stacked signature evaluation. At p2 = 0
+    only eta = 0 contributes, with weight exactly 1.0.
     """
     n_base = len(base_modes)
     total = 0.0
@@ -295,10 +282,7 @@ def _mixture_signature_probability(
         weight = (1.0 - p2) ** (n_base - eta) * p2**eta
         if weight == 0.0:
             continue
-        labels = np.array([
-            sorted(list(range(n_base)) + list(doubled))
-            for doubled in itertools.combinations(range(n_base), eta)
-        ])
+        labels = _placements(n_base, eta)
         in_modes = np.asarray(base_modes)[labels]
         s_eff = s_base[labels[:, :, None], labels[:, None, :]]
         total += weight * float(
@@ -307,27 +291,38 @@ def _mixture_signature_probability(
     return total
 
 
+def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[float, float]:
+    """Raw and purified visibilities of one scenario, as Python floats.
+
+    The raw value interferes only the two outer inputs (modes 0 and 5,
+    Gram entries 0 and 3) through the full circuit; the purified value runs
+    all four photons with heralds on the inner detectors. Both read every
+    field of `config`, g2 included (see `_mixture_signature_probability`);
+    at g2 = 0 they equal the `hom_visibility` values bit for bit.
+    """
+    s4 = _constant_or_matrix(c_or_s)
+    s2 = s4[np.ix_((0, 3), (0, 3))].copy()
+    np.fill_diagonal(s2, 1.0)
+    circuits = purifier_circuits(
+        config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
+    )
+    p2 = p2_from_g2(config.g2)
+    visibilities = []
+    for modes, s, pattern in ((RAW_INPUT_MODES, s2, COINCIDENCE_PATTERN),
+                              (PURIFIER_INPUT_MODES, s4, HERALDED_PATTERN)):
+        p_out, p_ref = (_mixture_signature_probability(c, modes, s, pattern, p2) for c in circuits)
+        if p_ref <= 0.0:
+            raise ValueError("reference probability is zero: degenerate heralding")
+        visibilities.append(1.0 - 2.0 * p_out / p_ref)
+    return tuple(visibilities)
+
+
 def multiphoton_visibility(
     c: float, g2: float, config: NoiseConfig | None = None
 ) -> tuple[float, float]:
-    """Raw and purified visibilities including spurious two-photon
-    emissions of strength g2(0); continuous with `purified_visibility`
-    as g2 -> 0."""
-    config = config or NoiseConfig()
-    p2 = p2_from_g2(g2)
-    out, ref = _build_circuits(config)
-    s4 = _constant_or_matrix(c, 4)
-    pattern = COINCIDENCE_PATTERN.merge(HERALD_PATTERN)
-    po = _mixture_signature_probability(out, PURIFIER_INPUT_MODES, s4, pattern, p2)
-    pr = _mixture_signature_probability(ref, PURIFIER_INPUT_MODES, s4, pattern, p2)
-    if pr <= 0.0:
-        raise ValueError("reference probability is zero: degenerate heralding")
-    v_pure = 1.0 - 2.0 * po / pr
-    s2 = constant_overlap_S(2, float(c)).entries
-    po = _mixture_signature_probability(out, RAW_INPUT_MODES, s2, COINCIDENCE_PATTERN, p2)
-    pr = _mixture_signature_probability(ref, RAW_INPUT_MODES, s2, COINCIDENCE_PATTERN, p2)
-    v_raw = 1.0 - 2.0 * po / pr
-    return v_raw, v_pure
+    """`purified_visibility` with `config.g2` set to `g2`, its one home;
+    at g2 = 0 the same bits as without emissions."""
+    return purified_visibility(c, replace(config or NoiseConfig(), g2=g2))
 
 
 def bs_sweep(which: str, reflectivities, c: float, g2: float = 0.0) -> list[dict]:
@@ -335,14 +330,10 @@ def bs_sweep(which: str, reflectivities, c: float, g2: float = 0.0) -> list[dict
     other two held at 0.5. `which` is first, second or final."""
     if which not in ("first", "second", "final"):
         raise ValueError("which must be 'first', 'second' or 'final'")
+    key = {"first": "r1", "second": "r2", "final": "r_final"}[which]
     rows = []
     for r in reflectivities:
-        kwargs = {"first": "r1", "second": "r2", "final": "r_final"}[which]
-        config = NoiseConfig(g2=g2, **{kwargs: float(r)})
-        if g2 > 0:
-            v_raw, v_pure = multiphoton_visibility(c, g2, config)
-        else:
-            v_raw, v_pure = purified_visibility(c, config)
+        v_raw, v_pure = purified_visibility(c, NoiseConfig(g2=g2, **{key: float(r)}))
         rows.append({"reflectivity": float(r), "v_raw": v_raw, "v_pure": v_pure})
     return rows
 
@@ -360,37 +351,24 @@ def polarization_scenario_S(theta_rad: float, direction: str) -> Distinguishabil
     return polarization_S(states)
 
 
-def _polarization_visibilities(
-    theta_deg: float, directions: tuple[str, ...], out: TransferMatrix, ref: TransferMatrix
-) -> dict:
-    """Raw visibility ("v_raw") and the purified visibility of each
-    rotation direction (keyed by direction) at one polarization angle."""
-    theta = np.deg2rad(float(theta_deg))
-    row = {}
-    for direction in directions:
-        s4 = polarization_scenario_S(theta, direction).entries
-        row[direction] = hom_visibility(
-            out, ref, PURIFIER_INPUT, COINCIDENCE_PATTERN, HERALD_PATTERN, s4
-        )
-    s2 = polarization_S([PolarizationState.linear(theta), PolarizationState.linear(0.0)]).entries
-    row["v_raw"] = hom_visibility(out, ref, RAW_INPUT, COINCIDENCE_PATTERN, None, s2)
-    return row
-
-
 def polarization_bounds(thetas_deg, config: NoiseConfig | None = None) -> list[dict]:
     """Purified-visibility bounds versus polarization rotation angle: the
-    same-direction case is the upper bound, opposite the lower.
+    same-direction case is the upper bound, opposite the lower. Each is a
+    `purified_visibility` of `polarization_scenario_S` under `config`, g2 too.
 
     The opposite-direction lower bound can fall below the raw visibility:
-    for 0 < theta < 45 degrees it sits up to 0.0068 below `v_raw`
-    (exactly -(1-u)^2 (2u-1) / (2 (1+u)^2) with u = cos^2 theta, deepest
-    near 36.5 degrees; derivation in notes/decisions.md)."""
-    out, ref = _build_circuits(config or NoiseConfig())
+    at g2 = 0 and balanced lossless couplers, for 0 < theta < 45 degrees it
+    sits up to 0.0068 below `v_raw` (exactly -(1-u)^2 (2u-1) / (2 (1+u)^2)
+    with u = cos^2 theta, deepest near 36.5 degrees; derivation in
+    notes/decisions.md)."""
+    config = config or NoiseConfig()
     rows = []
     for theta_deg in thetas_deg:
-        row = _polarization_visibilities(theta_deg, ("same", "opposite"), out, ref)
-        rows.append({"theta_deg": float(theta_deg), "v_raw": row["v_raw"],
-                     "v_pure_same": row["same"], "v_pure_opposite": row["opposite"]})
+        theta = np.deg2rad(float(theta_deg))
+        v_raw, same = purified_visibility(polarization_scenario_S(theta, "same"), config)
+        _, opposite = purified_visibility(polarization_scenario_S(theta, "opposite"), config)
+        rows.append({"theta_deg": float(theta_deg), "v_raw": v_raw,
+                     "v_pure_same": same, "v_pure_opposite": opposite})
     return rows
 
 
@@ -398,17 +376,13 @@ def evaluate_scenario(scenario: Scenario) -> dict:
     """One result row (raw, purified, improvement, success probability) for
     a Scenario; drives the CLI simulate command."""
     if scenario.model == "constant":
-        if scenario.noise.g2 > 0:
-            v_raw, v_pure = multiphoton_visibility(scenario.c, scenario.noise.g2, scenario.noise)
-        else:
-            v_raw, v_pure = purified_visibility(scenario.c, scenario.noise)
+        v_raw, v_pure = purified_visibility(scenario.c, scenario.noise)
     elif scenario.model == "pure_dephasing":
         v_raw = 1.0 / (1.0 + scenario.x)
         v_pure = pd_purified(scenario.x)
     else:
-        out, ref = _build_circuits(scenario.noise)
-        row = _polarization_visibilities(scenario.theta_deg, (scenario.direction,), out, ref)
-        v_raw, v_pure = row["v_raw"], row[scenario.direction]
+        s4 = polarization_scenario_S(np.deg2rad(float(scenario.theta_deg)), scenario.direction)
+        v_raw, v_pure = purified_visibility(s4, scenario.noise)
     return {
         "scenario_id": scenario.scenario_id,
         "model": scenario.model,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -262,10 +263,27 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
          "'transmissions'[0]"),
         ({"scenarios": {"a": {"model": "constant", "c": 0.9}}}, "'scenarios'"),
         ({"scenarios": ["constant"]}, "scenario[0]"),
+        ({"scenarios": [{"model": "constant", "c": 0.9, "r1": 0.3}]}, "'r1'"),
+        ({"scenarios": [{"model": "constant", "c": 0.9, "loss-stage": "input"}]},
+         "'loss-stage'"),
+        ({"scenarios": [{"model": "constant", "c": 0.9, "theta_deg": 10}]}, "'theta_deg'"),
+        ({"scenarios": [{"model": "polarization", "theta_deg": 10, "c": 0.9}]}, "'c'"),
+        ({"scenarios": [{"model": "polarization", "theta_deg": 10, "dir": "opposite"}]},
+         "'dir'"),
+        ({"scenarios": [{"model": "pure_dephasing", "x": 0.2, "g2": 0.07}]}, "'g2'"),
+        ({"scenarios": [{"model": "pure_dephasing", "x": 0.2, "reflectivities": [0.5] * 3}]},
+         "'reflectivities'"),
+        ({"scenarios": [{"model": "pure_dephasing", "x": 0.2, "transmissions": [1] * 6}]},
+         "'transmissions'"),
+        ({"scenarios": [{"model": "pure_dephasing", "x": 0.2, "loss_stage": "input"}]},
+         "'loss_stage'"),
+        ({"scenarios": [], "scenario": [{"model": "constant", "c": 0.9}]}, "'scenario'"),
     ],
     ids=["x-negative", "x-text", "c-above-1", "c-text", "c2-negative", "g2-half",
          "theta-text", "reflectivities-text", "transmission-above-1", "scenarios-object",
-         "scenario-not-object"],
+         "scenario-not-object", "constant-r1", "constant-loss-stage-typo", "constant-theta",
+         "polarization-c", "polarization-dir", "dephasing-g2", "dephasing-reflectivities",
+         "dephasing-transmissions", "dephasing-loss-stage", "top-level-scenario"],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
@@ -286,15 +304,47 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
         ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 2, "c2": "abc"}, "'c2'"),
         ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": "two", "c": 0.9},
          "'points'"),
+        ({"sweep": "polarization", "start": 0, "stop": 45, "points": 3, "g2": 0.05}, "'g2'"),
+        ({"sweep": "polarization", "start": 0, "stop": 45, "points": 3, "c": 0.9}, "'c'"),
+        ({"sweep": "g2", "start": 0.0, "stop": 0.2, "points": 3, "c": 0.9, "g2": 0.1},
+         "'g2'"),
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 2, "c": 0.9,
+          "reflectivities": [0.5] * 3}, "'reflectivities'"),
+        ({"sweep": "first_bs", "start": 0.3, "stop": 0.5, "points": 2, "c": 0.9,
+          "models": ["multipermanent"]}, "'models'"),
+        ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3, "c": 0.9},
+         "'c'"),
+        ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3, "model": "x"},
+         "'model'"),
     ],
     ids=["v-raw-zero-pure-dephasing", "v-raw-above-1", "g2-half", "c-above-1", "c2-text",
-         "points-text"],
+         "points-text", "polarization-g2", "polarization-c", "g2-sweep-g2",
+         "final-bs-reflectivities", "first-bs-models", "raw-visibility-c",
+         "raw-visibility-model-typo"],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
     code, _, err = run_cli(capsys, "sweep", "--config", config)
     assert code == 2, err
     assert field in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_configs_run(tmp_path, capsys):
+    """Every `simulate` and `sweep` example in the README runs on its own
+    config file and exits 0."""
+    text = README.read_text()
+    bodies = dict(re.findall(r"cat > (\S+) << 'EOF'\n(.*?)\nEOF", text, re.S))
+    bodies.update((name, body) for body, name in re.findall(r"echo '(.*?)' > (\S+)", text, re.S))
+    commands = re.findall(r"hompurify (simulate|sweep) --config (\S+)", text)
+    assert {kind for kind, _ in commands} == {"simulate", "sweep"} and len(commands) >= 4
+    for kind, name in commands:
+        config = tmp_path / name
+        config.write_text(bodies[name])
+        code, _, err = run_cli(capsys, kind, "--config", str(config), "--out", "-")
+        assert code == 0, (name, err)
 
 
 def test_cli_import_does_not_load_scipy():

@@ -22,6 +22,7 @@ from hompurify import (
     patterns_for_clicks,
     polarization_bounds,
     purified_visibility,
+    purifier_circuits,
     purifier_pair_circuit,
     reference_circuit,
     signature_probability,
@@ -180,7 +181,28 @@ def test_p2_from_g2():
 
 def test_multiphoton_continuity_at_zero_g2():
     c = float(np.sqrt(0.8))
-    assert multiphoton_visibility(c, 0.0) == pytest.approx(purified_visibility(c), abs=1e-12)
+    assert multiphoton_visibility(c, 0.0) == purified_visibility(c)
+
+
+@pytest.mark.parametrize("g2", [0.0, 1e-7, 0.02, 0.07])
+def test_multiphoton_visibility_is_purified_visibility_with_g2(g2):
+    c = float(np.sqrt(0.8))
+    lossy = {"r_final": 0.4, "transmissions": (0.9,) * 6}
+    assert purified_visibility(c, NoiseConfig(g2=g2)) == multiphoton_visibility(c, g2)
+    assert (purified_visibility(c, NoiseConfig(g2=g2, **lossy))
+            == multiphoton_visibility(c, g2, NoiseConfig(**lossy)))
+
+
+@pytest.mark.parametrize("g2", [0.0, 0.07])
+def test_visibilities_are_plain_floats(g2):
+    rows = [
+        purified_visibility(0.9, NoiseConfig(g2=g2)),
+        multiphoton_visibility(0.9, g2),
+        tuple(polarization_bounds([20.0], NoiseConfig(g2=g2))[0].values()),
+        tuple(bs_sweep("final", [0.4], 0.9, g2=g2)[0].values()),
+    ]
+    for row in rows:
+        assert all(type(v) is float for v in row), row
 
 
 def test_multiphoton_reduces_improvement():
@@ -240,18 +262,33 @@ def test_polarization_bound_ordering():
         assert row["v_raw"] == pytest.approx(np.cos(np.deg2rad(row["theta_deg"])) ** 2, abs=1e-12)
 
 
-def oracle_visibility(vectors, input_occ, clicked, silent):
+def oracle_visibility(vectors, input_occ, clicked, silent, p2=0.0):
     """1 - 2 P_out / P_ref from creation-operator expansions on the ideal
     purifier and its reference, summing every Fock output that matches the
-    detector signature."""
+    detector signature. Each occupied input (one photon each, `vectors` in
+    ascending mode order) carries a second photon in the same internal
+    state with probability p2, independently: every doubled placement is
+    expanded on its own and mixed with its weight."""
+    occupied = [m for m, k in enumerate(input_occ) if k]
 
     def signature(circuit):
-        probs = fock_polynomial_probabilities(circuit.matrix, input_occ, vectors)
-        return sum(
-            p
-            for occ, p in probs.items()
-            if all(occ[m] > 0 for m in clicked) and all(occ[m] == 0 for m in silent)
-        )
+        total = 0.0
+        for doubled in itertools.product((0, 1), repeat=len(occupied)):
+            eta = sum(doubled)
+            weight = (1 - p2) ** (len(occupied) - eta) * p2**eta
+            if weight == 0:
+                continue
+            occupations = list(input_occ)
+            for m, d in zip(occupied, doubled):
+                occupations[m] += d
+            photons = [v for v, d in zip(vectors, doubled) for _ in range(1 + d)]
+            probs = fock_polynomial_probabilities(circuit.matrix, occupations, photons)
+            total += weight * sum(
+                p
+                for occ, p in probs.items()
+                if all(occ[m] > 0 for m in clicked) and all(occ[m] == 0 for m in silent)
+            )
+        return total
 
     p_out = signature(purifier_pair_circuit(0.5, 0.5, 0.5))
     p_ref = signature(reference_circuit(0.5, 0.5))
@@ -280,6 +317,37 @@ def test_polarization_bounds_match_fock_oracle(theta_deg):
     }
     for key, value in expected.items():
         assert row[key] == pytest.approx(value, abs=1e-12), key
+
+
+def test_polarization_g2_matches_fock_oracle():
+    """g2 reaches polarization scenarios: every column of the bounds and a
+    simulate row at g2 = 0.05 match the emission mixture expanded over
+    explicit H/V vectors, doubled placements included."""
+    theta_deg, g2 = 30.0, 0.05
+    theta = np.deg2rad(theta_deg)
+
+    def linear(angle):
+        return [np.cos(angle), np.sin(angle)]
+
+    p2 = (1 - g2 - np.sqrt(1 - 2 * g2)) / g2
+    h = linear(0.0)
+    expected = {
+        "v_raw": oracle_visibility([linear(theta), h], (1, 0, 0, 0, 0, 1), (2, 3), (), p2),
+        "v_pure_same": oracle_visibility(
+            [linear(theta), h, linear(theta), h], (1, 1, 0, 0, 1, 1), (1, 2, 3, 4), (0, 5), p2
+        ),
+        "v_pure_opposite": oracle_visibility(
+            [linear(theta), h, linear(-theta), h], (1, 1, 0, 0, 1, 1), (1, 2, 3, 4), (0, 5), p2
+        ),
+    }
+    row = polarization_bounds([theta_deg], NoiseConfig(g2=g2))[0]
+    for key, value in expected.items():
+        assert row[key] == pytest.approx(value, abs=1e-12), key
+    assert row["v_pure_same"] < polarization_bounds([theta_deg])[0]["v_pure_same"] - 1e-3
+    scenario = Scenario("pol", "polarization", noise=NoiseConfig(g2=g2),
+                        theta_deg=theta_deg, direction="opposite")
+    simulated = evaluate_scenario(scenario)
+    assert (simulated["v_raw"], simulated["v_pure"]) == (row["v_raw"], row["v_pure_opposite"])
 
 
 def test_visibilities_bounded_for_scenario_battery():
@@ -332,6 +400,40 @@ def test_visibilities_within_unit_range(r1, r2, r_final, transmissions, loss_sta
         return
     assert -1 - 1e-12 <= v_raw <= 1 + 1e-12
     assert -1 - 1e-12 <= v_pure <= 1 + 1e-12
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    r1=UNIT, r2=UNIT, r_final=UNIT,
+    transmissions=st.none() | st.lists(UNIT, min_size=6, max_size=6).map(tuple),
+    loss_stage=st.sampled_from(("input", "after_first_bs")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_purified_visibility_is_hom_visibility_at_zero_g2(
+    r1, r2, r_final, transmissions, loss_stage, seed
+):
+    """At g2 = 0 the emission mixture has one placement of weight 1.0, so
+    `purified_visibility` equals the two public `hom_visibility` calls on
+    plain Fock inputs bit for bit, degenerate heralding included."""
+    config = NoiseConfig(r1=r1, r2=r2, r_final=r_final,
+                         transmissions=transmissions, loss_stage=loss_stage)
+    s4 = random_gram(4, np.random.default_rng(seed))
+    s2 = s4[np.ix_((0, 3), (0, 3))].copy()
+    np.fill_diagonal(s2, 1.0)
+    out, ref = purifier_circuits(r1, r2, r_final, transmissions, loss_stage)
+    coincidence = ClickPattern.from_modes(clicked=(2, 3))
+    heralds = ClickPattern.from_modes(clicked=(1, 4), silent=(0, 5))
+    try:
+        expected = (
+            hom_visibility(out, ref, FockState((1, 0, 0, 0, 0, 1)), coincidence, None, s2),
+            hom_visibility(out, ref, FockState((1, 1, 0, 0, 1, 1)), coincidence, heralds, s4),
+        )
+    except ValueError as exc:
+        assert "degenerate heralding" in str(exc)
+        with pytest.raises(ValueError, match="degenerate heralding"):
+            purified_visibility(s4, config)
+        return
+    assert purified_visibility(s4, config) == expected
 
 
 def test_noise_config_validation():
