@@ -18,7 +18,7 @@ from .distinguishability import (
     polarization_S,
     sample_dephased_overlaps,
 )
-from .fock import AssignmentList, ClickPattern, FockState, enumerate_outputs, patterns_for_clicks, submatrix
+from .fock import AssignmentList, ClickPattern, FockState, enumerate_outputs, submatrix
 from .histogram_fit import (
     FitError,
     FitResult,
@@ -37,7 +37,6 @@ from .permanents import (
     permanent,
     permanent_batch,
     permanent_naive,
-    permanent_ryser,
 )
 from .protocol import (
     NoiseConfig,

@@ -62,11 +62,15 @@ def write_rows(rows: list[dict], config: dict, out_path, fmt: str) -> None:
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    if not isinstance(config, dict):
+        kind = type(config).__name__
+        raise ConfigError(f"{path}: the top level must be a JSON object, not {kind}")
+    return config
 
 
 def _require(mapping: dict, field: str, context: str):

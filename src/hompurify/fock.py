@@ -1,13 +1,12 @@
-"""Fock-state bookkeeping: occupation vectors, transfer-matrix submatrices,
-and enumeration of output states compatible with detector click signatures.
+"""Fock-state bookkeeping: occupation vectors, internal-state assignments,
+detector click signatures, transfer-matrix submatrices and the enumeration
+of output states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-
 import numpy as np
 
 
@@ -151,37 +150,3 @@ def enumerate_outputs(n_photons: int, n_modes: int) -> list[FockState]:
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     return [FockState(c) for c in _compositions(n_photons, n_modes)]
-
-
-def n_output_states(n_photons: int, n_modes: int) -> int:
-    return comb(n_photons + n_modes - 1, n_modes - 1)
-
-
-def patterns_for_clicks(pattern: ClickPattern, n_photons: int, n_modes: int) -> list[FockState]:
-    """All output states of fixed total photon number producing a given
-    signature on non-photon-number-resolving detectors: >= 1 photon in every
-    clicked mode, 0 in every silent mode, anything elsewhere.
-
-    An infeasible signature (more clicked detectors than photons) yields an
-    empty list rather than an error.
-    """
-    clicked = pattern.clicked_modes
-    silent = set(pattern.silent_modes)
-    if any(m >= n_modes for m in pattern.modes):
-        raise ValueError("detector watches a mode outside the circuit")
-    if n_photons < len(clicked):
-        return []
-    free = [m for m in range(n_modes) if m not in clicked and m not in silent]
-    extra = n_photons - len(clicked)
-    if not clicked and not free:
-        return [FockState([0] * n_modes)] if n_photons == 0 else []
-    states = []
-    for split in _compositions(extra, len(clicked) + len(free)):
-        occ = [0] * n_modes
-        for m, k in zip(clicked, split[: len(clicked)]):
-            occ[m] = 1 + k
-        for m, k in zip(free, split[len(clicked):]):
-            occ[m] = k
-        states.append(tuple(occ))
-    states = sorted(set(states), reverse=True)
-    return [FockState(s) for s in states]

@@ -1,23 +1,29 @@
-"""Permanent and multipermanent kernels.
-
-These turn circuit submatrices and internal-state overlap data into
-detection probabilities for (partially distinguishable) photons.
+"""Permanent kernels and the one inclusion-exclusion behind every
+detection probability.
 
 `permanent_batch` is the one permanent kernel: Ryser's formula over all
-column subsets of a stack of matrices at once. Click-signature
-probabilities (`protocol.signature_probability`) need nothing else.
-`permanent_naive` is the permutation-sum cross-check.
+column subsets of a stack of matrices at once. `permanent_naive` is the
+permutation-sum cross-check.
 
-The probability of one Fock output (`output_probability`) needs the
-multipermanent, the double-permutation sum
+Every detection probability is a signed sum of its permanents. For
+photons whose circuit columns form U (rows = output modes, columns =
+photons) and whose internal states have the Gram matrix S,
+
+    sum_{T subset C} (-1)**(|C| - |T|) perm((U^dagger diag(1_{F | T}) U) o S)
+
+is the probability, times the input norm perm(delta_in o S), that every
+clicked row C receives a photon, no silent row does and the free rows F
+take the rest (`_clicked_subset_sums`; Shchesnovich, PRA 91, 013844
+(2015)). `protocol.signature_probability` is this sum over the rows of a
+detector signature. The multipermanent of one Fock output, the
+double-permutation sum
 
     Perm(W) = sum_{sigma, rho} prod_j W[sigma_j, rho_j, j],
     W[k, l, j] = A[k, j] * conj(A[l, j]) * S[l, k],
 
-where A is photon-major (row k = input photon k, column j = output slot j)
-and S is the Gram matrix of the photons' internal states. Double
-inclusion-exclusion turns it into a signed sum of 2 ** n permanents from
-the same kernel, O(4 ** n * n).
+with A photon-major (row k = input photon k, column j = output slot j),
+is the same sum with every output slot a clicked row and no free row:
+2 ** n permanents of 2 ** n subsets each, O(4 ** n * n).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -103,9 +109,6 @@ def permanent(a) -> complex:
     return complex(permanent_batch(_square(a)))
 
 
-permanent_ryser = permanent  # the name of the kernel, kept for callers that pick it
-
-
 def _square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -146,12 +149,7 @@ class DistinguishabilityMatrix:
     def restrict(self, assignment: AssignmentList) -> np.ndarray:
         """Effective per-photon overlap matrix for an assignment list;
         repeated labels mean identical photons."""
-        idx = list(assignment.labels)
-        if max(idx, default=-1) >= self.n:
-            raise ValueError("assignment label outside the defined internal states")
-        eff = self.entries[np.ix_(idx, idx)].copy()
-        np.fill_diagonal(eff, 1.0)
-        return eff
+        return _effective_gram(self.entries, len(assignment), assignment)
 
     def __eq__(self, other):
         return isinstance(other, DistinguishabilityMatrix) and np.array_equal(
@@ -163,29 +161,6 @@ def _as_gram(s) -> np.ndarray:
     if isinstance(s, DistinguishabilityMatrix):
         return s.entries
     return np.asarray(s, dtype=complex)
-
-
-def _multiperm_ryser_batch(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Double inclusion-exclusion over row-index subsets of the two
-    permutations:
-
-        Perm(W) = sum_{A, B} (-1)^(|A| + |B|) prod_j (1_A^T W_j 1_B).
-
-    The sum over B is Ryser's formula for the permanent of
-    M_A[j, l] = sum_{k in A} W[k, l, j], so Perm(W) is a signed sum of 2**n
-    ordinary permanents; memory grows as 4**n * n per matrix.
-
-    a, s: (batch, n, n) photon-major matrix and effective Gram matrix.
-    """
-    n = a.shape[1]
-    # T[b, k, j, l] = a[b, k, j] * conj(a[b, l, j]) * s[b, l, k]
-    t = (
-        a[:, :, :, None]
-        * a.conj().transpose(0, 2, 1)[:, None, :, :]
-        * s.transpose(0, 2, 1)[:, :, None, :]
-    )
-    table, signs = _ryser_tables(n)
-    return permanent_batch(np.einsum("bkjl,kx->bxjl", t, table)) @ signs
 
 
 def _real_part(vals: np.ndarray, what: str) -> np.ndarray:
@@ -200,12 +175,84 @@ def _real_part(vals: np.ndarray, what: str) -> np.ndarray:
     return vals.real
 
 
+# squared norm below which `_clicked_subset_sums` rescales a filled signature
+DARK = 2.0**-8
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(
+    n_rows: int, clicked: tuple[int, ...], silent: tuple[int, ...], free: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indicator rows of K = free rows | T (K = T when `free` is false)
+    for every T subset of `clicked`, shape (2**|clicked|, n_rows), and
+    the signs (-1)**(|clicked| - |T|). Free rows are all rows neither
+    clicked nor silent."""
+    masks = np.full((1 << len(clicked), n_rows), float(free))
+    masks[:, list(silent)] = 0.0
+    bits = (np.arange(len(masks))[:, None] >> np.arange(len(clicked))) & 1
+    masks[:, list(clicked)] = bits
+    signs = (-1.0) ** (len(clicked) - bits.sum(axis=1))
+    for cached in (masks, signs):
+        cached.flags.writeable = False
+    return masks, signs
+
+
+def _clicked_subset_sums(
+    u: np.ndarray, s: np.ndarray, clicked: tuple[int, ...], silent: tuple[int, ...] = ()
+) -> np.ndarray:
+    """For each of p photon sets, the inclusion-exclusion sum
+
+        sum_{T subset C} (-1)**(|C| - |T|) perm(H_T o S),
+        H_T = U^dagger diag(1_{F | T}) U,
+
+    over the clicked rows C of `u` (p, n_rows, n), with `s` (p, n, n) the
+    matching Gram matrices and F every row neither clicked nor silent.
+    Needs n >= |C|. With n == |C| no photon is left for F, so F is dropped
+    from every term, and nearly dark rows or photons are rescaled
+    exactly (notes/decisions.md). Returns real values.
+    """
+    p, n_rows, n = u.shape
+    # with one photon per clicked row none is left for the free rows;
+    # dropping them keeps the terms near the result's size (less cancellation)
+    filled = n == len(clicked)
+    masks, signs = _subset_masks(n_rows, clicked, silent, not filled)
+    weights, shift = masks[None], 0
+    w = np.abs(u[:, clicked]) ** 2  # (p, c, n)
+    if filled and min(w.sum(axis=1).min(), w.sum(axis=2).min()) < DARK:
+        # P is linear in |U[m, k]|**2 for each clicked row m and photon k, so
+        # scaling columns, then rows, by powers of two to norms in [0.5, 1) is
+        # exact and keeps nearly dark ones out of the terms' rounding; the
+        # exponent floor keeps every factor finite (notes/decisions.md)
+        e_col = np.maximum(np.frexp(np.sqrt(w.sum(axis=1)))[1], -400)
+        u = u * np.ldexp(1.0, -e_col)[:, None, :]
+        w = np.ldexp(w, -2 * e_col[:, None, :])
+        e_row = np.maximum(np.frexp(np.sqrt(w.sum(axis=2)))[1], -400)
+        row = np.ones((p, n_rows))
+        row[:, list(clicked)] = np.ldexp(1.0, -2 * e_row)
+        weights = masks[None] * row[:, None, :]
+        shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
+    # H_T for every subset T, rows weighted, (p, 2**c, n, n)
+    h = (u.conj().transpose(0, 2, 1)[:, None] * weights[:, :, None, :]) @ u[:, None]
+    perms = permanent_batch(h * s[:, None])
+    return np.ldexp(_real_part(perms @ signs, "detection probability"), shift)
+
+
+def _input_norm(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Squared norms perm(delta_in o S) of p input states, from each
+    photon's input mode (p, n) and the Gram matrices (p, n, n);
+    delta_in[k, l] = 1 when photons k and l share a mode."""
+    same_mode = in_modes[:, :, None] == in_modes[:, None, :]
+    return _real_part(permanent_batch(same_mode * s), "input-state norm")
+
+
 def multipermanent_batch(bs: np.ndarray, ss: np.ndarray) -> np.ndarray:
     """Multipermanents of a stack of equal-size submatrices.
 
     `bs` holds submatrices in the fock.submatrix orientation (rows = output
     slots, columns = input photons); `ss` the matching effective Gram
-    matrices. Returns real values after checking the imaginary residue.
+    matrices. Each is the all-clicked inclusion-exclusion sum with every
+    output slot a clicked row (see the module docstring). Returns real
+    values after checking the imaginary residue.
     """
     bs = np.asarray(bs, dtype=complex)
     ss = np.asarray(ss, dtype=complex)
@@ -213,8 +260,7 @@ def multipermanent_batch(bs: np.ndarray, ss: np.ndarray) -> np.ndarray:
         raise ValueError("expected a stack of square matrices")
     if ss.shape != bs.shape:
         raise ValueError("Gram stack must match matrix stack")
-    a = bs.transpose(0, 2, 1)  # photon-major: rows = input photons
-    return _real_part(_multiperm_ryser_batch(a, ss), "multipermanent")
+    return _clicked_subset_sums(bs, ss, tuple(range(bs.shape[1])))
 
 
 def multipermanent(b: np.ndarray, s) -> float:
@@ -232,26 +278,18 @@ def multipermanent(b: np.ndarray, s) -> float:
 def _effective_gram(s, n: int, assignment: AssignmentList | None = None) -> np.ndarray:
     """The n x n per-photon overlap matrix: `s` itself when `assignment` is
     None, else `s` indexed by internal-state label with a unit diagonal."""
-    if assignment is None:
-        s_eff = _as_gram(s)
-    elif len(assignment) != n:
-        raise ValueError("assignment length must equal the photon number")
-    elif isinstance(s, DistinguishabilityMatrix):
-        s_eff = s.restrict(assignment)
-    else:
+    s_eff = _as_gram(s)
+    if assignment is not None:
+        if len(assignment) != n:
+            raise ValueError("assignment length must equal the photon number")
         idx = list(assignment.labels)
-        s_eff = _as_gram(s)[np.ix_(idx, idx)].copy()
+        if max(idx, default=-1) >= s_eff.shape[0]:
+            raise ValueError("assignment label outside the defined internal states")
+        s_eff = s_eff[np.ix_(idx, idx)]
         np.fill_diagonal(s_eff, 1.0)
     if s_eff.shape != (n, n):
         raise ValueError(f"need a {n} x {n} effective Gram matrix, got {s_eff.shape}")
     return s_eff
-
-
-def _occupation_factorial(state: FockState) -> int:
-    out = 1
-    for k in state.occupations:
-        out *= factorial(k)
-    return out
 
 
 def output_probability(
@@ -262,17 +300,21 @@ def output_probability(
     assignment: AssignmentList | None = None,
 ) -> float:
     """Detection probability of `output_state` given `input_state` through a
-    linear circuit: Perm(W) / (prod_i n_i! * prod_j m_j!).
+    linear circuit: Perm(W) / (perm(delta_in o S) * prod_j m_j!).
 
-    `matrix` is a raw transfer matrix or anything exposing `.matrix`
-    (columns index input modes). `s` is the internal-state Gram matrix,
-    indexed by photon when `assignment` is None, by internal state otherwise.
+    perm(delta_in o S) is the squared norm of the input state, as in
+    `protocol.signature_probability`; it is prod_i n_i! when photons
+    sharing an input mode share their internal state. `matrix` is a raw
+    transfer matrix or anything exposing `.matrix` (columns index input
+    modes). `s` is the internal-state Gram matrix, indexed by photon when
+    `assignment` is None, by internal state otherwise.
     """
     m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
     s_eff = _effective_gram(s, input_state.n_photons, assignment)
     b = submatrix(m, input_state, output_state)
-    norm = _occupation_factorial(input_state) * _occupation_factorial(output_state)
-    p = multipermanent(b, s_eff) / norm
+    in_norm = _input_norm(np.array([input_state.mode_list()]), s_eff[None])[0]
+    out_norm = prod(factorial(k) for k in output_state.occupations)
+    p = multipermanent(b, s_eff) / (in_norm * out_norm)
     if p < -PROB_TOL or p > 1 + PROB_TOL:
         raise ValueError(f"probability {p} outside [0, 1]; inconsistent inputs")
     return float(min(max(p, 0.0), 1.0))

@@ -12,6 +12,12 @@ at a balanced coupler is P_ref / 2 and
 This reproduces V = c^2 for the bare two-photon test with constant state
 overlap c, and the measured-style purified visibility (the heralded
 conditional coincidence equals (1 - V) / 2).
+
+Each signature probability is the inclusion-exclusion of
+`permanents._clicked_subset_sums` over the rows that the signature
+watches, divided by the input norm perm(delta_in o S); this module maps
+patterns to rows and returns exactly 0 when clicked detectors outnumber
+the photons.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ from .distinguishability import constant_overlap_S, polarization_S, Polarization
 from .fock import AssignmentList, ClickPattern, FockState
 from .permanents import (
     DistinguishabilityMatrix,
-    permanent_batch,
     _as_gram,
+    _clicked_subset_sums,
     _effective_gram,
-    _real_part,
+    _input_norm,
 )
 
 # Purifier mode roles (see circuits module): inputs and detector signature.
@@ -41,7 +47,6 @@ RAW_INPUT_MODES = (0, 5)
 HERALD_PATTERN = ClickPattern.from_modes(clicked=(1, 4), silent=(0, 5))
 COINCIDENCE_PATTERN = ClickPattern.from_modes(clicked=(2, 3))
 HERALDED_PATTERN = COINCIDENCE_PATTERN.merge(HERALD_PATTERN)
-DARK = 2.0**-8  # squared norm below which `_signature_probabilities` rescales
 
 
 @dataclass(frozen=True)
@@ -108,69 +113,25 @@ def success_probability(n: int) -> float:
     return factorial(n - 1) / 2.0**exponent * n**2 / 2.0**n
 
 
-@lru_cache(maxsize=None)
-def _subset_masks(
-    n_modes: int, clicked: tuple[int, ...], silent: tuple[int, ...], free: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator rows of K = free modes | T (K = T when `free` is false)
-    for every T subset of `clicked`, shape (2**|clicked|, n_modes), and
-    the signs (-1)**(|clicked| - |T|). Free modes are all modes without a
-    detector, loss ancillas included."""
-    masks = np.full((1 << len(clicked), n_modes), float(free))
-    masks[:, list(silent)] = 0.0
-    bits = (np.arange(len(masks))[:, None] >> np.arange(len(clicked))) & 1
-    masks[:, list(clicked)] = bits
-    signs = (-1.0) ** (len(clicked) - bits.sum(axis=1))
-    for cached in (masks, signs):
-        cached.flags.writeable = False
-    return masks, signs
-
-
 def _signature_probabilities(
     matrix: np.ndarray, in_modes: np.ndarray, s_eff: np.ndarray, pattern: ClickPattern
 ) -> np.ndarray:
-    """Signature probability of each of p photon placements by
-    inclusion-exclusion over the clicked detectors.
+    """Signature probability of each of p photon placements: the
+    inclusion-exclusion over the pattern's rows of `matrix` divided by the
+    input norm.
 
     `in_modes` (p, n) holds each photon's input mode and `s_eff` (p, n, n)
     the matching effective Gram matrices; `matrix` is the full transfer
     matrix, loss ancillas included. See `signature_probability`.
     """
-    n_modes = matrix.shape[0]
-    if any(m >= n_modes for m in pattern.modes):
+    if any(m >= matrix.shape[0] for m in pattern.modes):
         raise ValueError("detector watches a mode outside the circuit")
-    p, n = in_modes.shape
     clicked = pattern.clicked_modes
-    if n < len(clicked):
-        return np.zeros(p)
-    # with one photon per clicked detector none is left for the free modes;
-    # dropping them keeps the terms near the result's size (less cancellation)
-    filled = n == len(clicked)
-    masks, signs = _subset_masks(n_modes, clicked, pattern.silent_modes, not filled)
+    if in_modes.shape[1] < len(clicked):
+        return np.zeros(len(in_modes))
     u_in = matrix[:, in_modes].transpose(1, 0, 2)  # (p, n_modes, n)
-    weights, shift = masks[None], 0
-    w = np.abs(u_in[:, clicked]) ** 2  # (p, c, n)
-    if filled and min(w.sum(axis=1).min(), w.sum(axis=2).min()) < DARK:
-        # P is linear in |U[m, k]|**2 for each clicked row m and photon k, so
-        # scaling columns, then rows, by powers of two to norms in [0.5, 1) is
-        # exact and keeps nearly dark ones out of the terms' rounding; the
-        # exponent floor keeps every factor finite (notes/decisions.md)
-        e_col = np.maximum(np.frexp(np.sqrt(w.sum(axis=1)))[1], -400)
-        u_in = u_in * np.ldexp(1.0, -e_col)[:, None, :]
-        w = np.ldexp(w, -2 * e_col[:, None, :])
-        e_row = np.maximum(np.frexp(np.sqrt(w.sum(axis=2)))[1], -400)
-        row = np.ones((p, n_modes))
-        row[:, list(clicked)] = np.ldexp(1.0, -2 * e_row)
-        weights = masks[None] * row[:, None, :]
-        shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
-    # H_T = U_in^dagger diag(1_K) U_in for every subset T, rows weighted, (p, 2**c, n, n)
-    h = (u_in.conj().transpose(0, 2, 1)[:, None] * weights[:, :, None, :]) @ u_in[:, None]
-    same_mode = in_modes[:, :, None] == in_modes[:, None, :]
-    stack = np.concatenate([h, same_mode[:, None]], axis=1) * s_eff[:, None]
-    perms = permanent_batch(stack)
-    num = np.ldexp(_real_part(perms[:, :-1] @ signs, "signature probability"), shift)
-    norm = _real_part(perms[:, -1], "input-state norm")
-    return num / norm
+    num = _clicked_subset_sums(u_in, s_eff, clicked, pattern.silent_modes)
+    return num / _input_norm(in_modes, s_eff)
 
 
 def signature_probability(

@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import replace
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from hompurify import pure_count_model, raw_count_model
+from hompurify import FockState, pure_count_model, raw_count_model
 
 
 def gram_to_state_vectors(s: np.ndarray) -> np.ndarray:
@@ -94,6 +94,29 @@ def fock_polynomial_probabilities(matrix, input_occ, photon_vectors) -> dict:
         key = tuple(occ)
         probs[key] = probs.get(key, 0.0) + abs(coeff) ** 2 * _mult_factorial(mono)
     return {k: v / norm2 for k, v in probs.items()}
+
+
+def n_output_states(n_photons: int, n_modes: int) -> int:
+    """Number of Fock states of n_photons in n_modes, C(n + m - 1, m - 1)."""
+    return comb(n_photons + n_modes - 1, n_modes - 1)
+
+
+def patterns_for_clicks(pattern, n_photons: int, n_modes: int) -> list:
+    """All output states of fixed total photon number producing a given
+    signature on non-photon-number-resolving detectors: >= 1 photon in every
+    clicked mode, 0 in every silent mode, anything elsewhere. Found by
+    filtering every multiset of output modes, in descending lexicographic
+    order; an infeasible signature yields an empty list."""
+    if any(m >= n_modes for m in pattern.modes):
+        raise ValueError("detector watches a mode outside the circuit")
+    states = set()
+    for modes in itertools.combinations_with_replacement(range(n_modes), n_photons):
+        occ = tuple(modes.count(m) for m in range(n_modes))
+        if all(occ[m] for m in pattern.clicked_modes) and not any(
+            occ[m] for m in pattern.silent_modes
+        ):
+            states.add(occ)
+    return [FockState(s) for s in sorted(states, reverse=True)]
 
 
 def permanent_perm_sum(a: np.ndarray) -> complex:

@@ -278,12 +278,17 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
         ({"scenarios": [{"model": "pure_dephasing", "x": 0.2, "loss_stage": "input"}]},
          "'loss_stage'"),
         ({"scenarios": [], "scenario": [{"model": "constant", "c": 0.9}]}, "'scenario'"),
+        (["scenarios"], "bad.json"),
+        (5, "bad.json"),
+        (None, "bad.json"),
+        ("scenarios", "bad.json"),
     ],
     ids=["x-negative", "x-text", "c-above-1", "c-text", "c2-negative", "g2-half",
          "theta-text", "reflectivities-text", "transmission-above-1", "scenarios-object",
          "scenario-not-object", "constant-r1", "constant-loss-stage-typo", "constant-theta",
          "polarization-c", "polarization-dir", "dephasing-g2", "dephasing-reflectivities",
-         "dephasing-transmissions", "dephasing-loss-stage", "top-level-scenario"],
+         "dephasing-transmissions", "dephasing-loss-stage", "top-level-scenario",
+         "top-level-list", "top-level-number", "top-level-null", "top-level-string"],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
@@ -316,11 +321,16 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
          "'c'"),
         ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3, "model": "x"},
          "'model'"),
+        (["sweep"], "bad.json"),
+        (5, "bad.json"),
+        (None, "bad.json"),
+        ("sweep", "bad.json"),
     ],
     ids=["v-raw-zero-pure-dephasing", "v-raw-above-1", "g2-half", "c-above-1", "c2-text",
          "points-text", "polarization-g2", "polarization-c", "g2-sweep-g2",
          "final-bs-reflectivities", "first-bs-models", "raw-visibility-c",
-         "raw-visibility-model-typo"],
+         "raw-visibility-model-typo", "top-level-list", "top-level-number", "top-level-null",
+         "top-level-string"],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hompurify import ClickPattern, FockState, enumerate_outputs, patterns_for_clicks, submatrix
-from hompurify.fock import n_output_states
+from hompurify import ClickPattern, FockState, enumerate_outputs, submatrix
+
+from oracles import n_output_states, patterns_for_clicks
 
 
 def test_fock_state_invariants():

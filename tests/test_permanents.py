@@ -1,6 +1,10 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
+from hompurify import permanents
 from hompurify import (
     AssignmentList,
     DistinguishabilityMatrix,
@@ -14,7 +18,6 @@ from hompurify import (
     permanent,
     permanent_batch,
     permanent_naive,
-    permanent_ryser,
     submatrix,
 )
 
@@ -51,7 +54,7 @@ def test_permanent_naive_equals_ryser_random():
     for n in range(2, 7):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         p_naive = permanent_naive(a)
-        p_ryser = permanent_ryser(a)
+        p_ryser = permanent(a)
         assert abs(p_naive - p_ryser) <= 1e-12 * abs(p_naive)
 
 
@@ -217,6 +220,30 @@ def test_output_probability_with_assignment_doubles():
         output_probability(u, inp, out, s, assignment) for out in enumerate_outputs(3, m)
     )
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_output_probability_distinct_states_sharing_a_mode():
+    """Two photons of different internal states in one input mode: the
+    input norm is perm(delta_in o S), not prod n_i!, so the outputs sum to
+    1 and match the creation-operator expansion."""
+    rng = np.random.default_rng(13)
+    u = haar_unitary(3, rng)
+    s = random_gram(3, rng)
+    inp = FockState((2, 1, 0))
+    oracle = fock_polynomial_probabilities(u, inp.occupations, gram_to_state_vectors(s))
+    probs = {out.occupations: output_probability(u, inp, out, s) for out in enumerate_outputs(3, 3)}
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+    for occ, p in probs.items():
+        assert p == pytest.approx(oracle.get(occ, 0.0), abs=1e-12)
+
+
+def test_traced_modules_and_multipermanent_signature():
+    """bench/tracing.py imports these modules by name and reads the stack
+    argument of `multipermanent_batch` as `bs`."""
+    for name in ("fock", "permanents", "circuits", "distinguishability", "dephasing",
+                 "protocol", "histogram_fit", "cli"):
+        importlib.import_module(f"hompurify.{name}")
+    assert list(inspect.signature(permanents.multipermanent_batch).parameters) == ["bs", "ss"]
 
 
 def test_permanent_invariant_under_repetition_reordering():

@@ -19,7 +19,6 @@ from hompurify import (
     multiphoton_visibility,
     output_probability,
     p2_from_g2,
-    patterns_for_clicks,
     polarization_bounds,
     purified_visibility,
     purifier_circuits,
@@ -30,7 +29,11 @@ from hompurify import (
 )
 from hompurify.circuits import TransferMatrix, with_loss
 
-from oracles import double_permutation_multipermanent, fock_polynomial_probabilities
+from oracles import (
+    double_permutation_multipermanent,
+    fock_polynomial_probabilities,
+    patterns_for_clicks,
+)
 
 
 IDENTITY_2 = TransferMatrix(np.eye(2))
@@ -495,6 +498,38 @@ def test_signature_probability_matches_enumeration(setup, data):
     fast = signature_probability(circuit, inp, pattern, s, assignment)
     slow = enumerated_signature_probability(circuit, inp, pattern, s, assignment)
     assert fast == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_signature_probability_matches_fock_expansion(seed):
+    """Pinned against the creation-operator expansion, not the package's
+    own kernel: Haar 3-5-mode circuits with up to one lossy input, photons
+    with distinct two-dimensional internal states, input modes repeated in
+    every other case, and random click/silent/free roles."""
+    rng = np.random.default_rng(seed)
+    n_modes = int(rng.integers(3, 6))
+    n_photons = int(rng.integers(2, 6))
+    transmissions = [1.0] * n_modes
+    if seed % 3:
+        transmissions[int(rng.integers(n_modes))] = rng.uniform(0.3, 1.0)
+    circuit = with_loss(TransferMatrix(haar_unitary(n_modes, rng)), transmissions)
+    modes = rng.integers(0, n_modes, n_photons)
+    if seed % 2 == 0:
+        modes[1] = modes[0]
+    occupations = [int(np.sum(modes == m)) for m in range(n_modes)]
+    inp = FockState(occupations)
+    vectors = rng.normal(size=(n_photons, 2)) + 1j * rng.normal(size=(n_photons, 2))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    s = vectors.conj() @ vectors.T
+    roles = rng.choice(["click", "silent", "free"], n_modes)
+    clicked = [m for m in range(n_modes) if roles[m] == "click"]
+    silent = [m for m in range(n_modes) if roles[m] == "silent"]
+    pattern = ClickPattern.from_modes(clicked=clicked, silent=silent)
+    full = occupations + [0] * circuit.n_ancilla
+    oracle = fock_polynomial_probabilities(circuit.matrix, full, vectors)
+    expected = sum(p for occ, p in oracle.items()
+                   if all(occ[m] for m in clicked) and not any(occ[m] for m in silent))
+    assert signature_probability(circuit, inp, pattern, s) == pytest.approx(expected, abs=1e-12)
 
 
 @PROPERTY
