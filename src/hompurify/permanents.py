@@ -2,8 +2,12 @@
 detection probability.
 
 `permanent_batch` is the one permanent kernel: Ryser's formula over all
-column subsets of a stack of matrices at once. `permanent_naive` is the
-permutation-sum cross-check.
+column subsets of a stack of matrices at once. `permanent_doubled_batch`
+is the same formula with row and column multiplicities m_g in {1, 2}, for
+every doubling of a few photons at once; at m = 1 its tables are
+`permanent_batch`'s subset table and signs. Their signed sums are numpy
+reductions, never BLAS matvecs (notes/decisions.md, "Doubled emissions as
+multiplicities"). `permanent_naive` is the permutation-sum cross-check.
 
 Every detection probability is a signed sum of its permanents. For
 photons whose circuit columns form U (rows = output modes, columns =
@@ -15,8 +19,9 @@ is the probability, times the input norm perm(delta_in o S), that every
 clicked row C receives a photon, no silent row does and the free rows F
 take the rest (`_clicked_subset_sums`; Shchesnovich, PRA 91, 013844
 (2015)). `protocol.signature_probability` is this sum over the rows of a
-detector signature. The multipermanent of one Fock output, the
-double-permutation sum
+detector signature; `_doubled_subset_sums` is it for every doubling of
+the photons, from one H_T stack on the undoubled ones. The
+multipermanent of one Fock output, the double-permutation sum
 
     Perm(W) = sum_{sigma, rho} prod_j W[sigma_j, rho_j, j],
     W[k, l, j] = A[k, j] * conj(A[l, j]) * S[l, k],
@@ -31,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -64,15 +69,25 @@ BLOCK_BITS = 10
 
 
 @lru_cache(maxsize=None)
-def _ryser_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 2**n) 0/1 matrix whose column X marks the subset X of columns,
-    and the Ryser signs (-1)**(n - |X|)."""
-    bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
-    signs = (-1.0) ** (n - bits.sum(axis=0))
-    table = bits.astype(complex)
-    for cached in (table, signs):
+def _ryser_tables(n: int, top: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Ryser's tables for multiplicities up to `top`: the (n, (top+1)**n)
+    table whose column x holds counts x_g in 0..top (digit g of x in base
+    top + 1), and the (top**n, (top+1)**n) coefficients
+
+        (-1)**(|m| - |x|) prod_g C(m_g, x_g),
+
+    row M for the multiplicities m_g = 1 + (digit g of M in base top), so
+    0 wherever some x_g > m_g. At top = 1 they are the 0/1 subset table
+    and the one row of Ryser signs (-1)**(n - |X|)."""
+    xs = [x[::-1] for x in itertools.product(range(top + 1), repeat=n)]
+    ms = [tuple(1 + g for g in m[::-1]) for m in itertools.product(range(top), repeat=n)]
+    coefs = np.array(
+        [[(-1) ** (sum(m) + sum(x)) * prod(map(comb, m, x)) for x in xs] for m in ms], dtype=float
+    )
+    table = np.array([[x[g] for x in xs] for g in range(n)], dtype=complex).reshape(n, len(xs))
+    for cached in (table, coefs):
         cached.flags.writeable = False
-    return table, signs
+    return table, coefs
 
 
 def permanent_batch(a) -> np.ndarray:
@@ -81,32 +96,66 @@ def permanent_batch(a) -> np.ndarray:
 
         perm(A) = sum_X (-1)**(n - |X|) prod_i sum_{j in X} A[i, j].
 
-    One matmul against the cached subset table gives every row sum, a
-    product over rows and a dot with the signs finish it. Beyond
-    BLOCK_BITS columns the subsets of the trailing columns are walked in
-    blocks, so no (n, 2**n) table is ever built.
+    One matmul against the cached subset table gives every row sum; a
+    product over rows and a signed sum over the subsets finish it. The
+    signed sum is a numpy reduction: as a matvec, OpenBLAS hands it to a
+    second thread that then spins (notes/decisions.md). Beyond BLOCK_BITS
+    columns the subsets of the trailing columns are walked in blocks, so
+    no (n, 2**n) table is ever built.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"stack of square matrices required, got shape {a.shape}")
+    a = _square_stack(a)
     n = a.shape[-1]
     low = min(n, BLOCK_BITS)
-    table, signs = _ryser_tables(low)
+    table, (signs,) = _ryser_tables(low)
     sums = a[..., :low] @ table
     if n == low:
-        return np.prod(sums, axis=-2) @ signs
+        return (np.prod(sums, axis=-2) * signs).sum(axis=-1)
     high = a[..., low:]
     total = np.zeros(a.shape[:-2], dtype=complex)
     for block in range(1 << (n - low)):
         bits = (block >> np.arange(n - low)) & 1
         sign = (-1.0) ** (n - low - int(bits.sum()))
-        total += sign * (np.prod(sums + (high @ bits)[..., None], axis=-2) @ signs)
+        total += sign * (np.prod(sums + (high @ bits)[..., None], axis=-2) * signs).sum(axis=-1)
     return total
+
+
+def permanent_doubled_batch(a) -> np.ndarray:
+    """Permanents of every doubling of a stack of square matrices (..., n, n):
+    entry M of the result, shape (..., 2**n), is the permanent of the
+    matrix in which row and column g appear twice when bit g of M is set,
+    so entry 0 is `permanent_batch(a)`. Ryser's formula with
+    multiplicities m_g in {1, 2} (Chin & Huh, Sci. Rep. 8, 6101 (2018)),
+
+        perm = sum_{0 <= x_g <= m_g} (-1)**(|m| - |x|) prod_g C(m_g, x_g)
+               prod_i (sum_g x_g A[i, g]) ** m_i,
+
+    runs over one cached table of x in {0, 1, 2}**n for every M at once;
+    the coefficient is 0 where x_g > m_g. Memory grows as 6**n, so this
+    is for the few photons of one emission mixture.
+    """
+    a = _square_stack(a)
+    table, coefs = _ryser_tables(a.shape[-1], 2)
+    rows = np.moveaxis(a @ table, -2, 0)  # (n, ..., 3**n)
+    # prod_i rows_i ** m_i: the product over all rows times the product over
+    # the doubled rows, built one row (one bit of M) at a time
+    terms = np.empty((len(coefs), *rows.shape[1:]), dtype=complex)
+    terms[0] = np.prod(rows, axis=0)
+    for i, row in enumerate(rows):
+        np.multiply(terms[: 1 << i], row, out=terms[1 << i : 2 << i])
+    # einsum sums without BLAS and without a temporary as large as `terms`
+    return np.einsum("m...x,mx->...m", terms, coefs)
 
 
 def permanent(a) -> complex:
     """Matrix permanent by Ryser's formula, O(2**n * n)."""
     return complex(permanent_batch(_square(a)))
+
+
+def _square_stack(a) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"stack of square matrices required, got shape {a.shape}")
+    return a
 
 
 def _square(a) -> np.ndarray:
@@ -231,10 +280,30 @@ def _clicked_subset_sums(
         row[:, list(clicked)] = np.ldexp(1.0, -2 * e_row)
         weights = masks[None] * row[:, None, :]
         shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
-    # H_T for every subset T, rows weighted, (p, 2**c, n, n)
-    h = (u.conj().transpose(0, 2, 1)[:, None] * weights[:, :, None, :]) @ u[:, None]
-    perms = permanent_batch(h * s[:, None])
-    return np.ldexp(_real_part(perms @ signs, "detection probability"), shift)
+    perms = permanent_batch(_subset_stack(u, weights) * s[:, None])
+    return np.ldexp(_real_part((perms * signs).sum(axis=-1), "detection probability"), shift)
+
+
+def _subset_stack(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """H_T = U^dagger diag(w_T) U for every row-weight vector w_T, from
+    `u` (p, n_rows, n) and `weights` (p or 1, k, n_rows): (p, k, n, n)."""
+    return (u.conj().transpose(0, 2, 1)[:, None] * weights[:, :, None, :]) @ u[:, None]
+
+
+def _doubled_subset_sums(
+    u: np.ndarray, s: np.ndarray, clicked: tuple[int, ...], silent: tuple[int, ...] = ()
+) -> np.ndarray:
+    """`_clicked_subset_sums` for every doubling of each of p photon sets:
+    entry M of the (p, 2**n) result is the sum for the photons in which
+    photon g is doubled (a second photon in the same mode and internal
+    state) when bit g of M is set. One H_T stack on the n photons serves
+    every M (`permanent_doubled_batch`). Needs n >= |C|; the free rows stay
+    in every term, so with n == |C| entry 0 lacks the filled path's
+    accuracy and callers take it from `_clicked_subset_sums`.
+    """
+    masks, signs = _subset_masks(u.shape[1], clicked, silent, True)
+    perms = permanent_doubled_batch(_subset_stack(u, masks[None]) * s[:, None])
+    return _real_part((perms.swapaxes(-1, -2) * signs).sum(axis=-1), "detection probability")
 
 
 def _input_norm(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -243,6 +312,13 @@ def _input_norm(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
     delta_in[k, l] = 1 when photons k and l share a mode."""
     same_mode = in_modes[:, :, None] == in_modes[:, None, :]
     return _real_part(permanent_batch(same_mode * s), "input-state norm")
+
+
+def _doubled_input_norms(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """`_input_norm` for every doubling of each input state, (p, 2**n),
+    indexed as in `_doubled_subset_sums`."""
+    same_mode = in_modes[:, :, None] == in_modes[:, None, :]
+    return _real_part(permanent_doubled_batch(same_mode * s), "input-state norm")
 
 
 def multipermanent_batch(bs: np.ndarray, ss: np.ndarray) -> np.ndarray:

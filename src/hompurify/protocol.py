@@ -17,14 +17,15 @@ Each signature probability is the inclusion-exclusion of
 `permanents._clicked_subset_sums` over the rows that the signature
 watches, divided by the input norm perm(delta_in o S); this module maps
 patterns to rows and returns exactly 0 when clicked detectors outnumber
-the photons.
+the photons. Under multiphoton noise (g2 > 0) every input may carry a
+doubled emission: the placement without one keeps that path, and all
+others come from one evaluation of Ryser's formula with multiplicities on
+the base photons (`_mixture_signature_probability`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from math import factorial, sqrt
 
 import numpy as np
@@ -37,6 +38,8 @@ from .permanents import (
     DistinguishabilityMatrix,
     _as_gram,
     _clicked_subset_sums,
+    _doubled_input_norms,
+    _doubled_subset_sums,
     _effective_gram,
     _input_norm,
 )
@@ -210,18 +213,6 @@ def p2_from_g2(g2: float) -> float:
     return (1.0 - g2 - sqrt(1.0 - 2.0 * g2)) / g2
 
 
-@lru_cache(maxsize=None)
-def _placements(n_base: int, eta: int) -> np.ndarray:
-    """Photon labels of every placement of eta doubled emissions among
-    n_base inputs, read-only, shape (C(n_base, eta), n_base + eta)."""
-    labels = np.array([
-        sorted([*range(n_base), *doubled])
-        for doubled in itertools.combinations(range(n_base), eta)
-    ])
-    labels.flags.writeable = False
-    return labels
-
-
 def _mixture_signature_probability(
     circuit: TransferMatrix,
     base_modes: tuple[int, ...],
@@ -231,25 +222,53 @@ def _mixture_signature_probability(
 ) -> float:
     """Detector-signature probability under the two-photon emission mixture.
 
-    Each occupied input independently carries a doubled emission with
-    probability p2; a doubled photon shares its sibling's internal state.
-    Sums (1 - p2)^(N - eta) * p2^eta * P_eta over all placements; the
-    placements of one eta share one stacked signature evaluation. At p2 = 0
-    only eta = 0 contributes, with weight exactly 1.0.
+    Each of the N base photons independently carries a doubled emission
+    with probability p2, a second photon in its mode and internal state.
+    Sums (1 - p2)^(N - eta) * p2^eta * P over all 2^N placements, eta the
+    number of doubled photons. The base photons fill the clicked
+    detectors, so the placement with no doubling (eta = 0) takes the filled
+    path of `_signature_probabilities`; the others share one H_T stack on
+    the base photons and Ryser's formula with multiplicities
+    (`permanents._doubled_subset_sums`). At p2 = 0 only eta = 0
+    contributes, and its probability is returned as it is.
     """
+    in_modes = np.array([base_modes])
+    single = _signature_probabilities(circuit.matrix, in_modes, s_base[None], pattern)[0]
+    if p2 == 0.0:
+        return float(single)
     n_base = len(base_modes)
-    total = 0.0
-    for eta in range(n_base + 1):
-        weight = (1.0 - p2) ** (n_base - eta) * p2**eta
-        if weight == 0.0:
-            continue
-        labels = _placements(n_base, eta)
-        in_modes = np.asarray(base_modes)[labels]
-        s_eff = s_base[labels[:, :, None], labels[:, None, :]]
-        total += weight * float(
-            np.sum(_signature_probabilities(circuit.matrix, in_modes, s_eff, pattern))
-        )
-    return total
+    eta = np.array([bin(m).count("1") for m in range(1 << n_base)])
+    weights = (1.0 - p2) ** (n_base - eta) * p2**eta
+    u_in = circuit.matrix[:, base_modes][None]
+    probs = (_doubled_subset_sums(u_in, s_base[None], pattern.clicked_modes, pattern.silent_modes)
+             / _doubled_input_norms(in_modes, s_base[None]))[0]
+    probs[0] = single
+    return float((weights * probs).sum())
+
+
+def _visibility(circuits: tuple[TransferMatrix, TransferMatrix], modes: tuple[int, ...],
+                s: np.ndarray, pattern: ClickPattern, p2: float) -> float:
+    """1 - 2 P_out / P_ref of the photons on `modes` with Gram matrix `s`
+    through the purifier circuits (`out`, `ref`) under the emission
+    mixture at p2."""
+    p_out, p_ref = (_mixture_signature_probability(c, modes, s, pattern, p2) for c in circuits)
+    if p_ref <= 0.0:
+        raise ValueError("reference probability is zero: degenerate heralding")
+    return 1.0 - 2.0 * p_out / p_ref
+
+
+def _raw_gram(s4: np.ndarray) -> np.ndarray:
+    """Gram matrix of the raw test's photons: entries 0 and 3 of the
+    four-photon one, with a unit diagonal."""
+    s2 = s4[np.ix_((0, 3), (0, 3))].copy()
+    np.fill_diagonal(s2, 1.0)
+    return s2
+
+
+def _circuits(config: NoiseConfig) -> tuple[TransferMatrix, TransferMatrix]:
+    return purifier_circuits(
+        config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
+    )
 
 
 def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[float, float]:
@@ -262,20 +281,10 @@ def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[fl
     at g2 = 0 they equal the `hom_visibility` values bit for bit.
     """
     s4 = _constant_or_matrix(c_or_s)
-    s2 = s4[np.ix_((0, 3), (0, 3))].copy()
-    np.fill_diagonal(s2, 1.0)
-    circuits = purifier_circuits(
-        config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
-    )
+    circuits = _circuits(config)
     p2 = p2_from_g2(config.g2)
-    visibilities = []
-    for modes, s, pattern in ((RAW_INPUT_MODES, s2, COINCIDENCE_PATTERN),
-                              (PURIFIER_INPUT_MODES, s4, HERALDED_PATTERN)):
-        p_out, p_ref = (_mixture_signature_probability(c, modes, s, pattern, p2) for c in circuits)
-        if p_ref <= 0.0:
-            raise ValueError("reference probability is zero: degenerate heralding")
-        visibilities.append(1.0 - 2.0 * p_out / p_ref)
-    return tuple(visibilities)
+    return (_visibility(circuits, RAW_INPUT_MODES, _raw_gram(s4), COINCIDENCE_PATTERN, p2),
+            _visibility(circuits, PURIFIER_INPUT_MODES, s4, HERALDED_PATTERN, p2))
 
 
 def multiphoton_visibility(
@@ -323,13 +332,21 @@ def polarization_bounds(thetas_deg, config: NoiseConfig | None = None) -> list[d
     with u = cos^2 theta, deepest near 36.5 degrees; derivation in
     notes/decisions.md)."""
     config = config or NoiseConfig()
+    circuits = _circuits(config)
+    p2 = p2_from_g2(config.g2)
     rows = []
     for theta_deg in thetas_deg:
         theta = np.deg2rad(float(theta_deg))
-        v_raw, same = purified_visibility(polarization_scenario_S(theta, "same"), config)
-        _, opposite = purified_visibility(polarization_scenario_S(theta, "opposite"), config)
-        rows.append({"theta_deg": float(theta_deg), "v_raw": v_raw,
-                     "v_pure_same": same, "v_pure_opposite": opposite})
+        same, opposite = (polarization_scenario_S(theta, d).entries for d in ("same", "opposite"))
+        # the direction rotates photon 2 only, so the raw pair (photons 0 and 3)
+        # and its visibility are the same for both
+        rows.append({
+            "theta_deg": float(theta_deg),
+            "v_raw": _visibility(circuits, RAW_INPUT_MODES, _raw_gram(same), COINCIDENCE_PATTERN, p2),
+            "v_pure_same": _visibility(circuits, PURIFIER_INPUT_MODES, same, HERALDED_PATTERN, p2),
+            "v_pure_opposite": _visibility(
+                circuits, PURIFIER_INPUT_MODES, opposite, HERALDED_PATTERN, p2),
+        })
     return rows
 
 

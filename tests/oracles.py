@@ -4,9 +4,11 @@ Everything here is deliberately written from first principles (polynomial
 creation-operator algebra, plain permutation sums, brute-force path
 enumeration) and shares no code path with the package kernels it checks.
 The least-squares count fits share only the forward count model with the
-package; they check its closed-form inversion. The complex-exponential
-dephasing sampler is the package's earlier sampler, kept to pin the real
-cos/sin accumulation that replaced it.
+package; they check its closed-form inversion. The expanded emission
+mixture shares the signature-probability path with the package; it checks
+Ryser's formula with multiplicities, which replaced that expansion. The
+complex-exponential dephasing sampler is the package's earlier sampler,
+kept to pin the real cos/sin accumulation that replaced it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import comb, factorial
 import numpy as np
 from scipy.optimize import least_squares
 
-from hompurify import FockState, pure_count_model, raw_count_model
+from hompurify import FockState, pure_count_model, raw_count_model, signature_probability
 
 
 def gram_to_state_vectors(s: np.ndarray) -> np.ndarray:
@@ -62,11 +64,10 @@ def fock_polynomial_probabilities(matrix, input_occ, photon_vectors) -> dict:
     def expand(amplitudes_per_photon):
         poly = {(): 1.0 + 0.0j}
         for amps in amplitudes_per_photon:
+            amps = [(label, amp) for label, amp in amps if amp != 0]
             new = {}
             for mono, coeff in poly.items():
                 for label, amp in amps:
-                    if amp == 0:
-                        continue
                     key = tuple(sorted(mono + (label,)))
                     new[key] = new.get(key, 0.0 + 0.0j) + coeff * amp
             poly = new
@@ -117,6 +118,34 @@ def patterns_for_clicks(pattern, n_photons: int, n_modes: int) -> list:
         ):
             states.add(occ)
     return [FockState(s) for s in sorted(states, reverse=True)]
+
+
+def placements(n_base: int, eta: int) -> list[tuple[int, ...]]:
+    """Photon labels of every placement of eta doubled emissions among
+    n_base inputs: each label once, a doubled one twice, ascending."""
+    return [
+        tuple(sorted([*range(n_base), *doubled]))
+        for doubled in itertools.combinations(range(n_base), eta)
+    ]
+
+
+def expanded_mixture_probability(circuit, base_modes, s_base, pattern, p2) -> float:
+    """Signature probability under the two-photon emission mixture with
+    every placement expanded into repeated photons: a doubled photon is a
+    second photon on its sibling's input mode whose Gram row and column
+    repeat the sibling's. Sums (1 - p2)^(N - eta) p2^eta over the
+    placements of each eta, one `signature_probability` each."""
+    n_base = len(base_modes)
+    total = 0.0
+    for eta in range(n_base + 1):
+        weight = (1.0 - p2) ** (n_base - eta) * p2**eta
+        for labels in placements(n_base, eta):
+            occupations = [0] * circuit.n_modes
+            for g in labels:
+                occupations[base_modes[g]] += 1
+            s_eff = np.asarray(s_base)[np.ix_(labels, labels)]
+            total += weight * signature_probability(circuit, FockState(occupations), pattern, s_eff)
+    return total
 
 
 def permanent_perm_sum(a: np.ndarray) -> complex:

@@ -1,10 +1,13 @@
 import importlib
 import inspect
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from hompurify import permanents
+from hompurify.permanents import permanent_doubled_batch
 from hompurify import (
     AssignmentList,
     DistinguishabilityMatrix,
@@ -78,6 +81,47 @@ def test_permanent_batch_matches_per_matrix_sum():
         for idx in np.ndindex(2, 3):
             ref = permanent_perm_sum(stack[idx])
             assert abs(vals[idx] - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def test_permanent_blocked_branch_closed_forms():
+    """Beyond BLOCK_BITS columns the trailing subsets are walked in blocks;
+    perm(ones) = n! and perm(x y^T) = n! prod(x) prod(y) there too."""
+    n = permanents.BLOCK_BITS + 1
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    y = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n), rel=1e-12)
+    want = math.factorial(n) * np.prod(x) * np.prod(y)
+    assert permanent(np.outer(x, y)) == pytest.approx(want, rel=1e-12)
+
+
+def doubled(a, m):
+    """`a` with row and column g repeated when bit g of m is set."""
+    idx = sorted([*range(a.shape[-1]), *(g for g in range(a.shape[-1]) if m >> g & 1)])
+    return a[np.ix_(idx, idx)]
+
+
+def test_doubled_permanents_match_expanded_permutation_sum():
+    """Ryser's formula with multiplicities is the permanent of the matrix
+    whose doubled rows and columns are written out."""
+    rng = np.random.default_rng(14)
+    for n in range(1, 5):
+        stack = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        vals = permanent_doubled_batch(stack)
+        assert vals.shape == (2, 1 << n)
+        for k, m in itertools.product(range(2), range(1 << n)):
+            if n + bin(m).count("1") > 7:
+                continue
+            ref = permanent_naive(doubled(stack[k], m))
+            assert abs(vals[k, m] - ref) <= 1e-12 * abs(ref), (n, m)
+
+
+def test_doubled_permanents_without_doubling_are_permanent_batch():
+    rng = np.random.default_rng(15)
+    for n in range(1, 6):
+        stack = rng.normal(size=(3, 4, n, n)) + 1j * rng.normal(size=(3, 4, n, n))
+        np.testing.assert_allclose(permanent_doubled_batch(stack)[..., 0],
+                                   permanent_batch(stack), rtol=1e-13, atol=0)
 
 
 def test_permanent_rejects_non_square():

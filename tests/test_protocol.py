@@ -28,9 +28,17 @@ from hompurify import (
     success_probability,
 )
 from hompurify.circuits import TransferMatrix, with_loss
+from hompurify.protocol import (
+    COINCIDENCE_PATTERN,
+    HERALDED_PATTERN,
+    _mixture_signature_probability,
+    _raw_gram,
+    polarization_scenario_S,
+)
 
 from oracles import (
     double_permutation_multipermanent,
+    expanded_mixture_probability,
     fock_polynomial_probabilities,
     patterns_for_clicks,
 )
@@ -265,27 +273,34 @@ def test_polarization_bound_ordering():
         assert row["v_raw"] == pytest.approx(np.cos(np.deg2rad(row["theta_deg"])) ** 2, abs=1e-12)
 
 
-def oracle_visibility(vectors, input_occ, clicked, silent, p2=0.0):
-    """1 - 2 P_out / P_ref from creation-operator expansions on the ideal
-    purifier and its reference, summing every Fock output that matches the
-    detector signature. Each occupied input (one photon each, `vectors` in
-    ascending mode order) carries a second photon in the same internal
-    state with probability p2, independently: every doubled placement is
-    expanded on its own and mixed with its weight."""
+def oracle_visibility(vectors, input_occ, clicked, silent, p2=0.0, circuits=None):
+    """1 - 2 P_out / P_ref from creation-operator expansions on `circuits`
+    (`out`, `ref`; the ideal purifier and its reference by default),
+    summing every Fock output that matches the detector signature. Each
+    occupied input (one photon each, `vectors` in ascending mode order)
+    carries a second photon in the same internal state with probability
+    p2, independently: every doubled placement is expanded on its own and
+    mixed with its weight. The silent detectors' rows are zeroed before
+    expanding: an output with a photon there is dropped anyway, and
+    dropping its terms early keeps the expansion small."""
     occupied = [m for m, k in enumerate(input_occ) if k]
+    if circuits is None:
+        circuits = (purifier_pair_circuit(0.5, 0.5, 0.5), reference_circuit(0.5, 0.5))
 
     def signature(circuit):
+        matrix = circuit.matrix.copy()
+        matrix[list(silent)] = 0.0
         total = 0.0
         for doubled in itertools.product((0, 1), repeat=len(occupied)):
             eta = sum(doubled)
             weight = (1 - p2) ** (len(occupied) - eta) * p2**eta
             if weight == 0:
                 continue
-            occupations = list(input_occ)
+            occupations = list(input_occ) + [0] * (circuit.n_modes - len(input_occ))
             for m, d in zip(occupied, doubled):
                 occupations[m] += d
             photons = [v for v, d in zip(vectors, doubled) for _ in range(1 + d)]
-            probs = fock_polynomial_probabilities(circuit.matrix, occupations, photons)
+            probs = fock_polynomial_probabilities(matrix, occupations, photons)
             total += weight * sum(
                 p
                 for occ, p in probs.items()
@@ -293,8 +308,7 @@ def oracle_visibility(vectors, input_occ, clicked, silent, p2=0.0):
             )
         return total
 
-    p_out = signature(purifier_pair_circuit(0.5, 0.5, 0.5))
-    p_ref = signature(reference_circuit(0.5, 0.5))
+    p_out, p_ref = (signature(circuit) for circuit in circuits)
     return 1.0 - 2.0 * p_out / p_ref
 
 
@@ -353,6 +367,45 @@ def test_polarization_g2_matches_fock_oracle():
     assert (simulated["v_raw"], simulated["v_pure"]) == (row["v_raw"], row["v_pure_opposite"])
 
 
+@pytest.mark.parametrize("config", [
+    NoiseConfig(g2=0.05, r_final=0.4, transmissions=(1, 1, 1, 1, 1, 0.7)),
+    NoiseConfig(g2=0.05, r1=0.3, transmissions=(1, 0.6, 1, 1, 1, 1),
+                loss_stage="after_first_bs"),
+])
+def test_constant_overlap_g2_matches_fock_oracle(config):
+    """A constant-overlap row at g2 > 0 with loss, at the inputs or after
+    the first couplers, matches the emission mixture expanded over
+    explicit state vectors: a shared component of weight c and a private
+    one of weight 1 - c per photon, so every pair overlaps by c."""
+    c = 0.8
+    vectors = np.zeros((4, 5))
+    vectors[:, 0] = np.sqrt(c)
+    vectors[np.arange(4), np.arange(1, 5)] = np.sqrt(1 - c)
+    circuits = purifier_circuits(config.r1, config.r2, config.r_final,
+                                 config.transmissions, config.loss_stage)
+    p2 = p2_from_g2(config.g2)
+    expected = (
+        oracle_visibility(vectors[[0, 3]], (1, 0, 0, 0, 0, 1), (2, 3), (), p2, circuits),
+        oracle_visibility(vectors, (1, 1, 0, 0, 1, 1), (1, 2, 3, 4), (0, 5), p2, circuits),
+    )
+    assert purified_visibility(c, config) == pytest.approx(expected, abs=1e-12)
+
+
+def test_polarization_bounds_are_per_direction_visibilities():
+    """One raw value per angle serves both directions: the rotated photons
+    0 and 3 do not depend on the direction."""
+    thetas = [0.0, 12.5, 36.0, 90.0]
+    for config in (NoiseConfig(), NoiseConfig(g2=0.05, r_final=0.4, transmissions=(0.9,) * 6)):
+        for theta_deg, row in zip(thetas, polarization_bounds(thetas, config)):
+            theta = np.deg2rad(theta_deg)
+            v_raw, same = purified_visibility(polarization_scenario_S(theta, "same"), config)
+            v_raw_opposite, opposite = purified_visibility(
+                polarization_scenario_S(theta, "opposite"), config)
+            assert v_raw == v_raw_opposite
+            assert row == {"theta_deg": theta_deg, "v_raw": v_raw,
+                           "v_pure_same": same, "v_pure_opposite": opposite}
+
+
 def test_visibilities_bounded_for_scenario_battery():
     for c2 in (0.1, 0.5, 0.9):
         for g2 in (0.0, 0.05):
@@ -378,6 +431,7 @@ def test_nearly_dark_paths_keep_closed_form(dim):
 
 
 UNIT = st.floats(0.0, 1.0)
+REFLECTIVITY = st.floats(0.05, 0.95)
 
 
 # About half the draws hit a reflectivity or transmission of exactly 0 or 1
@@ -437,6 +491,34 @@ def test_purified_visibility_is_hom_visibility_at_zero_g2(
             purified_visibility(s4, config)
         return
     assert purified_visibility(s4, config) == expected
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    g2=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    r1=REFLECTIVITY, r2=REFLECTIVITY, r_final=REFLECTIVITY,
+    transmissions=st.none() | st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6).map(tuple),
+    loss_stage=st.sampled_from(("input", "after_first_bs")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_doubled_emissions_match_expanded_placements(
+    g2, r1, r2, r_final, transmissions, loss_stage, seed
+):
+    """Ryser's formula with multiplicities on the base photons gives the
+    mixture probability of every signature that the placements expanded
+    into repeated photons give. Absolute tolerance: under heavy loss the
+    inclusion-exclusion leaves small probabilities with relative errors
+    up to about 1e-10 on either path (ROADMAP item 1)."""
+    config = NoiseConfig(g2=g2, r1=r1, r2=r2, r_final=r_final,
+                         transmissions=transmissions, loss_stage=loss_stage)
+    s4 = random_gram(4, np.random.default_rng(seed))
+    p2 = p2_from_g2(g2)
+    for circuit in purifier_circuits(r1, r2, r_final, transmissions, loss_stage):
+        for modes, s, pattern in (((0, 5), _raw_gram(s4), COINCIDENCE_PATTERN),
+                                  ((0, 1, 4, 5), s4, HERALDED_PATTERN)):
+            got = _mixture_signature_probability(circuit, modes, s, pattern, p2)
+            want = expanded_mixture_probability(circuit, modes, s, pattern, p2)
+            assert got == pytest.approx(want, rel=0, abs=1e-13)
 
 
 def test_noise_config_validation():
