@@ -1,5 +1,6 @@
 """Permanent kernels and the one inclusion-exclusion behind every
-detection probability.
+detection probability on a general circuit (the purifier's heralded
+signature without a doubled emission has a closed form in `protocol`).
 
 `permanent_batch` is the one permanent kernel: Ryser's formula over all
 column subsets of a stack of matrices at once. `permanent_doubled_batch`
@@ -179,9 +180,14 @@ class DistinguishabilityMatrix:
         s = np.asarray(entries, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("Gram matrix must be square")
-        if not np.allclose(s, s.conj().T, atol=1e-10):
+        if not np.isfinite(s).all():
+            raise ValueError("Gram matrix entries must be finite")
+        # np.allclose's test |a - b| <= 1e-10 + 1e-5 |b|, written out: its
+        # wrapper cost more than the g2 = 0 visibility itself
+        adjoint = s.conj().T
+        if not (np.abs(s - adjoint) <= 1e-10 + 1e-5 * np.abs(adjoint)).all():
             raise ValueError("Gram matrix must be Hermitian")
-        if not np.allclose(np.diag(s), 1.0, atol=1e-10):
+        if not (np.abs(s.diagonal() - 1.0) <= 1e-10 + 1e-5).all():
             raise ValueError("Gram matrix must have unit diagonal")
         if np.any(np.abs(s) > 1 + 1e-10):
             raise ValueError("overlap magnitudes cannot exceed 1")
@@ -299,7 +305,8 @@ def _doubled_subset_sums(
     state) when bit g of M is set. One H_T stack on the n photons serves
     every M (`permanent_doubled_batch`). Needs n >= |C|; the free rows stay
     in every term, so with n == |C| entry 0 lacks the filled path's
-    accuracy and callers take it from `_clicked_subset_sums`.
+    accuracy, and the purifier takes it from its closed form instead
+    (`protocol._mixture_probabilities`).
     """
     masks, signs = _subset_masks(u.shape[1], clicked, silent, True)
     perms = permanent_doubled_batch(_subset_stack(u, masks[None]) * s[:, None])

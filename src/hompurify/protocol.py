@@ -13,14 +13,27 @@ This reproduces V = c^2 for the bare two-photon test with constant state
 overlap c, and the measured-style purified visibility (the heralded
 conditional coincidence equals (1 - V) / 2).
 
-Each signature probability is the inclusion-exclusion of
-`permanents._clicked_subset_sums` over the rows that the signature
-watches, divided by the input norm perm(delta_in o S); this module maps
-patterns to rows and returns exactly 0 when clicked detectors outnumber
-the photons. Under multiphoton noise (g2 > 0) every input may carry a
-doubled emission: the placement without one keeps that path, and all
-others come from one evaluation of Ryser's formula with multiplicities on
-the base photons (`_mixture_signature_probability`).
+On the purifier, the heralded photons fill the clicked detectors and each
+copy's heralding rows see one mode of its first coupler, so at g2 = 0
+the visibilities are closed forms in the Gram matrix and the final
+reflectivity R alone (notes/decisions.md, "g2 = 0 in closed form"):
+
+    V = 4 R (1 - R) (1 + W) - 1,
+    W = Tr(S_AA S_AB S_BB S_BA) / (Tr(S_AA^2) Tr(S_BB^2)),
+
+with S_AB the overlaps of copy A's photons with copy B's; the raw test
+has one photon per copy, so W = |S_03|^2 there. No circuit is built.
+Under multiphoton noise (g2 > 0) every input may carry a doubled
+emission: the placement without one takes the same closed form, scaled by
+the reference circuit's route amplitudes, and all others come from one
+evaluation of Ryser's formula with multiplicities on the base photons
+(`_mixture_probabilities`).
+
+`signature_probability` and `hom_visibility` evaluate any signature on any
+circuit: the inclusion-exclusion of `permanents._clicked_subset_sums` over
+the rows that the signature watches, divided by the input norm
+perm(delta_in o S), and exactly 0 when clicked detectors outnumber the
+photons.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from .permanents import (
     _doubled_subset_sums,
     _effective_gram,
     _input_norm,
+    _real_part,
 )
 
 # Purifier mode roles (see circuits module): inputs and detector signature.
@@ -50,6 +64,7 @@ RAW_INPUT_MODES = (0, 5)
 HERALD_PATTERN = ClickPattern.from_modes(clicked=(1, 4), silent=(0, 5))
 COINCIDENCE_PATTERN = ClickPattern.from_modes(clicked=(2, 3))
 HERALDED_PATTERN = COINCIDENCE_PATTERN.merge(HERALD_PATTERN)
+_DEGENERATE = "reference probability is zero: degenerate heralding"
 
 
 @dataclass(frozen=True)
@@ -77,6 +92,8 @@ class NoiseConfig:
             )
             if len(self.transmissions) != 6:
                 raise ValueError("six per-mode transmissions required")
+            if any(not 0.0 <= t <= 1.0 for t in self.transmissions):
+                raise ValueError("transmissions must be in [0, 1]")
         if self.loss_stage not in LOSS_STAGES:
             raise ValueError("loss_stage must be 'input' or 'after_first_bs'")
 
@@ -116,27 +133,6 @@ def success_probability(n: int) -> float:
     return factorial(n - 1) / 2.0**exponent * n**2 / 2.0**n
 
 
-def _signature_probabilities(
-    matrix: np.ndarray, in_modes: np.ndarray, s_eff: np.ndarray, pattern: ClickPattern
-) -> np.ndarray:
-    """Signature probability of each of p photon placements: the
-    inclusion-exclusion over the pattern's rows of `matrix` divided by the
-    input norm.
-
-    `in_modes` (p, n) holds each photon's input mode and `s_eff` (p, n, n)
-    the matching effective Gram matrices; `matrix` is the full transfer
-    matrix, loss ancillas included. See `signature_probability`.
-    """
-    if any(m >= matrix.shape[0] for m in pattern.modes):
-        raise ValueError("detector watches a mode outside the circuit")
-    clicked = pattern.clicked_modes
-    if in_modes.shape[1] < len(clicked):
-        return np.zeros(len(in_modes))
-    u_in = matrix[:, in_modes].transpose(1, 0, 2)  # (p, n_modes, n)
-    num = _clicked_subset_sums(u_in, s_eff, clicked, pattern.silent_modes)
-    return num / _input_norm(in_modes, s_eff)
-
-
 def signature_probability(
     circuit: TransferMatrix,
     input_state: FockState,
@@ -166,8 +162,14 @@ def signature_probability(
     s_eff = _effective_gram(s, n, assignment)
     if input_state.n_modes not in (circuit.n_physical, circuit.n_modes):
         raise ValueError("mode count of the input state does not match the circuit")
+    if any(m >= circuit.n_modes for m in pattern.modes):
+        raise ValueError("detector watches a mode outside the circuit")
+    if n < len(pattern.clicked_modes):
+        return 0.0
     in_modes = np.array([input_state.mode_list()])
-    return float(_signature_probabilities(circuit.matrix, in_modes, s_eff[None], pattern)[0])
+    u_in = circuit.matrix[:, in_modes].transpose(1, 0, 2)  # (1, n_modes, n)
+    num = _clicked_subset_sums(u_in, s_eff[None], pattern.clicked_modes, pattern.silent_modes)
+    return float(num[0] / _input_norm(in_modes, s_eff[None])[0])
 
 
 def hom_visibility(
@@ -189,7 +191,7 @@ def hom_visibility(
     p_out = signature_probability(interfering, input_state, pattern, s, assignment)
     p_ref = signature_probability(reference, input_state, pattern, s, assignment)
     if p_ref <= 0.0:
-        raise ValueError("reference probability is zero: degenerate heralding")
+        raise ValueError(_DEGENERATE)
     return 1.0 - 2.0 * p_out / p_ref
 
 
@@ -213,56 +215,95 @@ def p2_from_g2(g2: float) -> float:
     return (1.0 - g2 - sqrt(1.0 - 2.0 * g2)) / g2
 
 
-def _mixture_signature_probability(
-    circuit: TransferMatrix,
-    base_modes: tuple[int, ...],
-    s_base: np.ndarray,
-    pattern: ClickPattern,
-    p2: float,
-) -> float:
-    """Detector-signature probability under the two-photon emission mixture.
+def _hom(r_final: float, w: float) -> float:
+    """Visibility 4R(1 - R)(1 + W) - 1 of two photons with state overlap W,
+    one in each input of a coupler of reflectivity R."""
+    r = float(r_final)
+    return 4.0 * r * (1.0 - r) * (1.0 + w) - 1.0
+
+
+def _heralded_overlaps(grams) -> list[tuple[float, float]]:
+    """(W, N) of each Gram matrix in `grams`: the state overlap W of the two
+    photons that meet at the final coupler at g2 = 0, and the norm
+    N = Tr(S_AA^2) Tr(S_BB^2) of the heralded state, for photons whose
+    first half is copy A's and second half copy B's:
+
+        W = Tr(S_AA S_AB S_BB S_BA) / N.
+
+    With one photon per copy (the raw test) W = S_01 S_10 and N = 1. The
+    traces are summed in Python: the blocks are at most 2 x 2, where numpy
+    calls cost more than the arithmetic. Both traces pass the non-real
+    check of every detection probability, so a non-Hermitian matrix
+    raises."""
+    terms = []
+    for s in grams:
+        rows = s.tolist()
+        k = len(rows) // 2
+        a, b = range(k), range(k, 2 * k)
+        ab = [[sum(rows[i][h] * rows[h][j] for h in a) for j in b] for i in a]  # S_AA S_AB
+        ba = [[sum(rows[j][h] * rows[h][i] for h in b) for i in a] for j in b]  # S_BB S_BA
+        trace = sum(ab[i][j] * ba[j][i] for i in range(k) for j in range(k))
+        norm = (sum(rows[i][j] * rows[j][i] for i in a for j in a)
+                * sum(rows[i][j] * rows[j][i] for i in b for j in b))
+        terms.append((trace, norm))
+    checked = _real_part(np.array(terms), "detection probability").tolist()
+    return [(trace / norm, norm) for trace, norm in checked]
+
+
+def _heralds(config: NoiseConfig) -> bool:
+    """Whether both copies can herald at g2 = 0. P_ref > 0 exactly when r1
+    and r2 lie strictly inside (0, 1) and every loss coupler on a heralded
+    photon's path transmits: inputs 0, 1, 4 and 5 for input loss, modes 1
+    and 4 for loss after the first couplers. The factors are checked one by
+    one, since their product can underflow."""
+    t = config.transmissions or (1.0,) * 6
+    crossed = (0, 1, 4, 5) if config.loss_stage == "input" else (1, 4)
+    return 0.0 < config.r1 < 1.0 and 0.0 < config.r2 < 1.0 and all(t[m] > 0.0 for m in crossed)
+
+
+def _mixture_probabilities(
+    circuits: tuple[TransferMatrix, TransferMatrix], s: np.ndarray, r_final: float, p2: float
+) -> tuple[float, float]:
+    """(P_out, P_ref) of the photons of Gram matrix `s`, 2 x 2 for the raw
+    test and 4 x 4 for the purified one, through the purifier circuits
+    (`out`, `ref`) under the two-photon emission mixture.
 
     Each of the N base photons independently carries a doubled emission
     with probability p2, a second photon in its mode and internal state.
     Sums (1 - p2)^(N - eta) * p2^eta * P over all 2^N placements, eta the
-    number of doubled photons. The base photons fill the clicked
-    detectors, so the placement with no doubling (eta = 0) takes the filled
-    path of `_signature_probabilities`; the others share one H_T stack on
-    the base photons and Ryser's formula with multiplicities
-    (`permanents._doubled_subset_sums`). At p2 = 0 only eta = 0
-    contributes, and its probability is returned as it is.
+    number of doubled photons. Without a doubling (eta = 0) the base photons
+    fill the clicked detectors and the g2 = 0 closed form holds: P_ref = K N
+    and P_out = P_ref (1 - V) / 2, with N and V from `_heralded_overlaps`
+    and K the product over the photons of |U[reached, mode]|^2 in `ref`:
+    one heralded route per photon, and every route gives the same K. The
+    doubled placements share one H_T stack on the base photons and Ryser's
+    formula with multiplicities (`permanents._doubled_subset_sums`).
     """
-    in_modes = np.array([base_modes])
-    single = _signature_probabilities(circuit.matrix, in_modes, s_base[None], pattern)[0]
-    if p2 == 0.0:
-        return float(single)
-    n_base = len(base_modes)
-    eta = np.array([bin(m).count("1") for m in range(1 << n_base)])
-    weights = (1.0 - p2) ** (n_base - eta) * p2**eta
-    u_in = circuit.matrix[:, base_modes][None]
-    probs = (_doubled_subset_sums(u_in, s_base[None], pattern.clicked_modes, pattern.silent_modes)
-             / _doubled_input_norms(in_modes, s_base[None]))[0]
-    probs[0] = single
-    return float((weights * probs).sum())
-
-
-def _visibility(circuits: tuple[TransferMatrix, TransferMatrix], modes: tuple[int, ...],
-                s: np.ndarray, pattern: ClickPattern, p2: float) -> float:
-    """1 - 2 P_out / P_ref of the photons on `modes` with Gram matrix `s`
-    through the purifier circuits (`out`, `ref`) under the emission
-    mixture at p2."""
-    p_out, p_ref = (_mixture_signature_probability(c, modes, s, pattern, p2) for c in circuits)
-    if p_ref <= 0.0:
-        raise ValueError("reference probability is zero: degenerate heralding")
-    return 1.0 - 2.0 * p_out / p_ref
+    if len(s) == 2:
+        modes, pattern, reached = RAW_INPUT_MODES, COINCIDENCE_PATTERN, (2, 3)
+    else:
+        modes, pattern, reached = PURIFIER_INPUT_MODES, HERALDED_PATTERN, (1, 2, 3, 4)
+    ((w, norm),) = _heralded_overlaps([s])
+    p_ref = norm * float(np.prod(np.abs(circuits[1].matrix[reached, modes]) ** 2))
+    singles = (p_ref * (1.0 - _hom(r_final, w)) / 2.0, p_ref)
+    n = len(modes)
+    eta = np.array([bin(m).count("1") for m in range(1 << n)])
+    weights = (1.0 - p2) ** (n - eta) * p2**eta
+    norms = _doubled_input_norms(np.array([modes]), s[None])
+    probs = []
+    for circuit, single in zip(circuits, singles):
+        u_in = circuit.matrix[:, modes][None]
+        p = (_doubled_subset_sums(u_in, s[None], pattern.clicked_modes, pattern.silent_modes)
+             / norms)[0]
+        p[0] = single
+        probs.append(float((weights * p).sum()))
+    return probs[0], probs[1]
 
 
 def _raw_gram(s4: np.ndarray) -> np.ndarray:
     """Gram matrix of the raw test's photons: entries 0 and 3 of the
     four-photon one, with a unit diagonal."""
-    s2 = s4[np.ix_((0, 3), (0, 3))].copy()
-    np.fill_diagonal(s2, 1.0)
-    return s2
+    return np.array([[1.0, s4[0, 3]], [s4[3, 0], 1.0]], dtype=complex)
 
 
 def _circuits(config: NoiseConfig) -> tuple[TransferMatrix, TransferMatrix]:
@@ -271,20 +312,40 @@ def _circuits(config: NoiseConfig) -> tuple[TransferMatrix, TransferMatrix]:
     )
 
 
+def _visibilities(grams, config: NoiseConfig) -> list[float]:
+    """1 - 2 P_out / P_ref for each Gram matrix of `grams` (2 x 2 raw,
+    4 x 4 purified) under `config`. At g2 = 0 this is the closed form
+    `_hom(r_final, W)` and no circuit is built; above, the circuits are
+    built once for all of `grams` (`_mixture_probabilities`)."""
+    p2 = p2_from_g2(config.g2)
+    if p2 == 0.0:
+        if not _heralds(config):
+            raise ValueError(_DEGENERATE)
+        return [_hom(config.r_final, w) for w, _ in _heralded_overlaps(grams)]
+    circuits = _circuits(config)
+    visibilities = []
+    for s in grams:
+        p_out, p_ref = _mixture_probabilities(circuits, s, config.r_final, p2)
+        if p_ref <= 0.0:
+            raise ValueError(_DEGENERATE)
+        visibilities.append(1.0 - 2.0 * p_out / p_ref)
+    return visibilities
+
+
 def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[float, float]:
     """Raw and purified visibilities of one scenario, as Python floats.
 
     The raw value interferes only the two outer inputs (modes 0 and 5,
-    Gram entries 0 and 3) through the full circuit; the purified value runs
-    all four photons with heralds on the inner detectors. Both read every
-    field of `config`, g2 included (see `_mixture_signature_probability`);
-    at g2 = 0 they equal the `hom_visibility` values bit for bit.
+    Gram entries 0 and 3); the purified value runs all four photons with
+    heralds on the inner detectors. At g2 = 0 both are closed forms in the
+    Gram matrix and `config.r_final` (module docstring): r1, r2 and loss
+    only decide whether the copies can herald at all, and a ValueError
+    names degenerate heralding when they cannot. At g2 > 0 they read every
+    field of `config` (`_mixture_probabilities`).
     """
     s4 = _constant_or_matrix(c_or_s)
-    circuits = _circuits(config)
-    p2 = p2_from_g2(config.g2)
-    return (_visibility(circuits, RAW_INPUT_MODES, _raw_gram(s4), COINCIDENCE_PATTERN, p2),
-            _visibility(circuits, PURIFIER_INPUT_MODES, s4, HERALDED_PATTERN, p2))
+    v_raw, v_pure = _visibilities((_raw_gram(s4), s4), config)
+    return v_raw, v_pure
 
 
 def multiphoton_visibility(
@@ -331,23 +392,20 @@ def polarization_bounds(thetas_deg, config: NoiseConfig | None = None) -> list[d
     sits up to 0.0068 below `v_raw` (exactly -(1-u)^2 (2u-1) / (2 (1+u)^2)
     with u = cos^2 theta, deepest near 36.5 degrees; derivation in
     notes/decisions.md)."""
-    config = config or NoiseConfig()
-    circuits = _circuits(config)
-    p2 = p2_from_g2(config.g2)
-    rows = []
-    for theta_deg in thetas_deg:
-        theta = np.deg2rad(float(theta_deg))
+    thetas = [float(t) for t in thetas_deg]
+    grams = []
+    for theta_deg in thetas:
+        theta = np.deg2rad(theta_deg)
         same, opposite = (polarization_scenario_S(theta, d).entries for d in ("same", "opposite"))
         # the direction rotates photon 2 only, so the raw pair (photons 0 and 3)
         # and its visibility are the same for both
-        rows.append({
-            "theta_deg": float(theta_deg),
-            "v_raw": _visibility(circuits, RAW_INPUT_MODES, _raw_gram(same), COINCIDENCE_PATTERN, p2),
-            "v_pure_same": _visibility(circuits, PURIFIER_INPUT_MODES, same, HERALDED_PATTERN, p2),
-            "v_pure_opposite": _visibility(
-                circuits, PURIFIER_INPUT_MODES, opposite, HERALDED_PATTERN, p2),
-        })
-    return rows
+        grams += [_raw_gram(same), same, opposite]
+    v = _visibilities(grams, config or NoiseConfig())
+    return [
+        {"theta_deg": theta_deg, "v_raw": v[3 * i],
+         "v_pure_same": v[3 * i + 1], "v_pure_opposite": v[3 * i + 2]}
+        for i, theta_deg in enumerate(thetas)
+    ]
 
 
 def evaluate_scenario(scenario: Scenario) -> dict:

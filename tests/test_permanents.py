@@ -136,6 +136,12 @@ def test_gram_matrix_validation():
         DistinguishabilityMatrix(np.array([[0.9, 0.0], [0.0, 1.0]]))  # diagonal
     with pytest.raises(ValueError):
         DistinguishabilityMatrix(np.array([[1.0, 1.2], [1.2, 1.0]]))  # not PSD
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        for where in ((0, 1), (1, 1)):
+            s = np.eye(3, dtype=complex)
+            s[where] = bad
+            with pytest.raises(ValueError, match="finite"):
+                DistinguishabilityMatrix(s)
     s = DistinguishabilityMatrix(np.eye(3))
     assert s.n == 3
 

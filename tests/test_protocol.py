@@ -31,7 +31,7 @@ from hompurify.circuits import TransferMatrix, with_loss
 from hompurify.protocol import (
     COINCIDENCE_PATTERN,
     HERALDED_PATTERN,
-    _mixture_signature_probability,
+    _mixture_probabilities,
     _raw_gram,
     polarization_scenario_S,
 )
@@ -414,6 +414,20 @@ def test_visibilities_bounded_for_scenario_battery():
             assert -1e-9 <= v_pure <= 1 + 1e-9
 
 
+def circuit_visibilities(s4, config):
+    """(V_raw, V_pure) at g2 = 0 from the two public `hom_visibility` calls
+    on the purifier circuits of `config`, plain Fock inputs: the circuit
+    path, independent of the closed form that `purified_visibility` takes."""
+    out, ref = purifier_circuits(config.r1, config.r2, config.r_final,
+                                 config.transmissions, config.loss_stage)
+    coincidence = ClickPattern.from_modes(clicked=(2, 3))
+    heralds = ClickPattern.from_modes(clicked=(1, 4), silent=(0, 5))
+    return (
+        hom_visibility(out, ref, FockState((1, 0, 0, 0, 0, 1)), coincidence, None, _raw_gram(s4)),
+        hom_visibility(out, ref, FockState((1, 1, 0, 0, 1, 1)), coincidence, heralds, s4),
+    )
+
+
 @pytest.mark.parametrize("dim", [
     {"r1": 1.9e-21}, {"r1": 1 - 1e-10}, {"r2": 1e-12}, {"r2": 1 - 1e-9},
     {"r1": 1e-8, "r2": 1 - 1e-7}, {"transmissions": (1e-8, 1, 1, 1, 1, 0.5)},
@@ -423,11 +437,15 @@ def test_nearly_dark_paths_keep_closed_form(dim):
     """A clicked detector or a photon that the circuit almost never
     connects leaves the heralded signature orders of magnitude below the
     inclusion-exclusion terms; the visibilities keep their closed forms
-    V = 4R(1-R)(1+W) - 1 at the balanced final coupler."""
+    V = 4R(1-R)(1+W) - 1 at the balanced final coupler, on the closed-form
+    path and on the public circuit path, whose exact rescaling of nearly
+    dark rows and photons (`permanents.DARK`) this pins."""
     c = 0.8
-    v_raw, v_pure = purified_visibility(c, NoiseConfig(**dim))
-    assert v_raw == pytest.approx(c**2, abs=1e-12)
-    assert v_pure == pytest.approx(analytic_purified(c), abs=1e-12)
+    config = NoiseConfig(**dim)
+    for v_raw, v_pure in (purified_visibility(c, config),
+                          circuit_visibilities(constant_overlap_S(4, c).entries, config)):
+        assert v_raw == pytest.approx(c**2, abs=1e-12)
+        assert v_pure == pytest.approx(analytic_purified(c), abs=1e-12)
 
 
 UNIT = st.floats(0.0, 1.0)
@@ -461,36 +479,85 @@ def test_visibilities_within_unit_range(r1, r2, r_final, transmissions, loss_sta
 
 @settings(PROPERTY, max_examples=200)
 @given(
-    r1=UNIT, r2=UNIT, r_final=UNIT,
-    transmissions=st.none() | st.lists(UNIT, min_size=6, max_size=6).map(tuple),
+    r1=REFLECTIVITY, r2=REFLECTIVITY, r_final=REFLECTIVITY,
+    transmissions=st.none() | st.lists(st.floats(0.1, 1.0), min_size=6, max_size=6).map(tuple),
     loss_stage=st.sampled_from(("input", "after_first_bs")),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_purified_visibility_is_hom_visibility_at_zero_g2(
     r1, r2, r_final, transmissions, loss_stage, seed
 ):
-    """At g2 = 0 the emission mixture has one placement of weight 1.0, so
-    `purified_visibility` equals the two public `hom_visibility` calls on
-    plain Fock inputs bit for bit, degenerate heralding included."""
+    """At g2 = 0 the closed form of `purified_visibility` agrees with the
+    two public `hom_visibility` calls on the purifier circuits, for random
+    complex Gram matrices. Reflectivities stay in [0.05, 0.95] and
+    transmissions in [0.1, 1], where the circuit path's inclusion-exclusion
+    is accurate to better than 1e-12; near 0 or 1 its rounding errors grow
+    past that (notes/decisions.md, "g2 = 0 in closed form")."""
     config = NoiseConfig(r1=r1, r2=r2, r_final=r_final,
                          transmissions=transmissions, loss_stage=loss_stage)
     s4 = random_gram(4, np.random.default_rng(seed))
-    s2 = s4[np.ix_((0, 3), (0, 3))].copy()
-    np.fill_diagonal(s2, 1.0)
-    out, ref = purifier_circuits(r1, r2, r_final, transmissions, loss_stage)
-    coincidence = ClickPattern.from_modes(clicked=(2, 3))
-    heralds = ClickPattern.from_modes(clicked=(1, 4), silent=(0, 5))
-    try:
-        expected = (
-            hom_visibility(out, ref, FockState((1, 0, 0, 0, 0, 1)), coincidence, None, s2),
-            hom_visibility(out, ref, FockState((1, 1, 0, 0, 1, 1)), coincidence, heralds, s4),
-        )
-    except ValueError as exc:
-        assert "degenerate heralding" in str(exc)
-        with pytest.raises(ValueError, match="degenerate heralding"):
-            purified_visibility(s4, config)
+    assert purified_visibility(s4, config) == pytest.approx(
+        circuit_visibilities(s4, config), rel=0, abs=1e-12)
+
+
+def heralding_fails(config):
+    """Whether some factor of P_ref is exactly 0: r1 or r2 at 0 or 1, or no
+    transmission on a mode that a heralded photon crosses before the
+    second couplers (inputs 0, 1, 4, 5 for input loss; modes 1 and 4 for
+    loss after the first couplers)."""
+    t = config.transmissions or (1.0,) * 6
+    crossed = (0, 1, 4, 5) if config.loss_stage == "input" else (1, 4)
+    return config.r1 in (0.0, 1.0) or config.r2 in (0.0, 1.0) or any(t[m] == 0.0 for m in crossed)
+
+
+def polarization_w(theta_deg, direction):
+    """Independent overlaps of the purified photons for one input per copy
+    rotated by theta, u = cos^2 theta (notes/decisions.md, criterion 10)."""
+    u = np.cos(np.deg2rad(theta_deg)) ** 2
+    if direction == "same":
+        return (1 + 6 * u + u * u) / (2 * (1 + u) ** 2)
+    return (1 - 2 * u + 9 * u * u) / (2 * (1 + u) ** 2)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    r1=UNIT, r2=UNIT, r_final=UNIT,
+    transmissions=st.none() | st.lists(UNIT, min_size=6, max_size=6).map(tuple),
+    loss_stage=st.sampled_from(("input", "after_first_bs")),
+    c=UNIT, theta_deg=st.floats(0.0, 90.0), direction=st.sampled_from(("same", "opposite")),
+)
+def test_zero_g2_closed_forms_over_the_full_range(
+    r1, r2, r_final, transmissions, loss_stage, c, theta_deg, direction
+):
+    """Over every reflectivity and transmission in [0, 1], subnormal and
+    exact endpoints included, a constant-overlap and a polarization row at
+    g2 = 0 match V = 4R(1-R)(1+W) - 1 with W from independent formulas to
+    1e-14, and degenerate heralding is raised exactly when a factor of
+    P_ref is 0."""
+    config = NoiseConfig(r1=r1, r2=r2, r_final=r_final,
+                         transmissions=transmissions, loss_stage=loss_stage)
+    s_pol = polarization_scenario_S(np.deg2rad(theta_deg), direction)
+    if heralding_fails(config):
+        for s in (c, s_pol):
+            with pytest.raises(ValueError, match="degenerate heralding"):
+                purified_visibility(s, config)
         return
-    assert purified_visibility(s4, config) == expected
+    u = np.cos(np.deg2rad(theta_deg)) ** 2
+    expected = ((c, (c**2, analytic_purified(c))),
+                (s_pol, (u, polarization_w(theta_deg, direction))))
+    for s, ws in expected:
+        want = [4 * r_final * (1 - r_final) * (1 + w) - 1 for w in ws]
+        assert purified_visibility(s, config) == pytest.approx(want, rel=0, abs=1e-14)
+
+
+def test_non_hermitian_gram_raises_non_real():
+    """A raw 4 x 4 array is not validated as a Gram matrix; one whose
+    overlaps give a non-real W raises instead of dropping the imaginary
+    part."""
+    s = np.ones((4, 4), dtype=complex)
+    s[0, 3] = 1j
+    with pytest.raises(ValueError, match="non-real"):
+        purified_visibility(s)
 
 
 @settings(PROPERTY, max_examples=200)
@@ -504,21 +571,20 @@ def test_purified_visibility_is_hom_visibility_at_zero_g2(
 def test_doubled_emissions_match_expanded_placements(
     g2, r1, r2, r_final, transmissions, loss_stage, seed
 ):
-    """Ryser's formula with multiplicities on the base photons gives the
-    mixture probability of every signature that the placements expanded
-    into repeated photons give. Absolute tolerance: under heavy loss the
+    """Ryser's formula with multiplicities on the base photons, with the
+    closed form for the placement without a doubling, gives the mixture
+    probability of every signature that the placements expanded into
+    repeated photons give. Absolute tolerance: under heavy loss the
     inclusion-exclusion leaves small probabilities with relative errors
-    up to about 1e-10 on either path (ROADMAP item 1)."""
-    config = NoiseConfig(g2=g2, r1=r1, r2=r2, r_final=r_final,
-                         transmissions=transmissions, loss_stage=loss_stage)
+    up to about 1e-10 on the doubled placements."""
     s4 = random_gram(4, np.random.default_rng(seed))
     p2 = p2_from_g2(g2)
-    for circuit in purifier_circuits(r1, r2, r_final, transmissions, loss_stage):
-        for modes, s, pattern in (((0, 5), _raw_gram(s4), COINCIDENCE_PATTERN),
-                                  ((0, 1, 4, 5), s4, HERALDED_PATTERN)):
-            got = _mixture_signature_probability(circuit, modes, s, pattern, p2)
-            want = expanded_mixture_probability(circuit, modes, s, pattern, p2)
-            assert got == pytest.approx(want, rel=0, abs=1e-13)
+    circuits = purifier_circuits(r1, r2, r_final, transmissions, loss_stage)
+    for modes, s, pattern in (((0, 5), _raw_gram(s4), COINCIDENCE_PATTERN),
+                              ((0, 1, 4, 5), s4, HERALDED_PATTERN)):
+        got = _mixture_probabilities(circuits, s, r_final, p2)
+        want = [expanded_mixture_probability(c, modes, s, pattern, p2) for c in circuits]
+        assert got == pytest.approx(want, rel=0, abs=1e-13)
 
 
 def test_noise_config_validation():
@@ -528,6 +594,10 @@ def test_noise_config_validation():
         NoiseConfig(r1=1.5)
     with pytest.raises(ValueError):
         NoiseConfig(transmissions=(0.5,) * 4)
+    # checked here, not only when a circuit is built: g2 = 0 builds none
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="transmissions must be in"):
+            NoiseConfig(transmissions=(bad,) + (1.0,) * 5)
     with pytest.raises(ValueError):
         NoiseConfig(loss_stage="end")
 
