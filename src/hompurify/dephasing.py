@@ -16,6 +16,7 @@ the rational form implemented by `pd_purified`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ def pd_coincidence(moments: OverlapMoments) -> float:
 def pd_moments(x: float) -> OverlapMoments:
     """Exact overlap-cycle moments of the Wiener dephasing model at
     x = 2 gamma_d / gamma (zero detuning)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be a finite number >= 0, got {x!r}")
     pair = 1.0 / (1.0 + x)
     triple = 2.0 / ((1.0 + x) * (2.0 + x))
     quad = 4.0 / ((3.0 + x) * (2.0 + x) * (1.0 + x)) + 1.0 / ((3.0 + x) * (1.0 + x) ** 2)
@@ -69,8 +70,8 @@ def pd_purified(x: float) -> float:
     This is 1 - 2 * pd_coincidence at the exact Wiener moments; it equals 1
     at x = 0 and decays like 1/x.
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be a finite number >= 0, got {x!r}")
     return float(
         (x**3 + 10.0 * x**2 + 32.0 * x + 24.0) / ((3.0 + x) * (2.0 + x) ** 3)
     )

@@ -5,6 +5,7 @@ polarization rotations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,13 @@ class DephasingParams:
     deltas: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("decay rate gamma must be positive")
-        if self.gamma_d < 0:
-            raise ValueError("pure dephasing rate gamma_d must be >= 0")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"decay rate gamma must be finite and positive, got {self.gamma!r}")
+        if not 0.0 <= self.gamma_d < math.inf:
+            raise ValueError(f"dephasing rate gamma_d must be finite and >= 0, got {self.gamma_d!r}")
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        if not all(map(math.isfinite, self.deltas)):
+            raise ValueError(f"detunings deltas must be finite, got {self.deltas!r}")
 
     @property
     def x(self) -> float:
@@ -38,8 +41,8 @@ class DephasingParams:
 
     @classmethod
     def from_x(cls, x: float, gamma: float = 1.0, deltas=()) -> "DephasingParams":
-        if x < 0:
-            raise ValueError("x must be >= 0")
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"x must be a finite number >= 0, got {x!r}")
         return cls(gamma=gamma, gamma_d=x * gamma / 2.0, deltas=deltas)
 
 

@@ -3,12 +3,14 @@ detection probability on a general circuit (the purifier's heralded
 signature without a doubled emission has a closed form in `protocol`).
 
 `permanent_batch` is the one permanent kernel: Ryser's formula over all
-column subsets of a stack of matrices at once. `permanent_doubled_batch`
-is the same formula with row and column multiplicities m_g in {1, 2}, for
-every doubling of a few photons at once; at m = 1 its tables are
-`permanent_batch`'s subset table and signs. Their signed sums are numpy
-reductions, never BLAS matvecs (notes/decisions.md, "Doubled emissions as
-multiplicities"). `permanent_naive` is the permutation-sum cross-check.
+column subsets of a stack of matrices at once. `permanent_mixture_batch`
+is the same formula with row and column multiplicities m_g in {1, 2}: it
+sums the permanents of every doubling of a few photons, weighted per
+doubled photon, with one factor per photon and no axis over the
+doublings; at m = 1 its tables are `permanent_batch`'s subset table and
+signs. Their signed sums are numpy reductions, never BLAS matvecs
+(notes/decisions.md, "Doubled emissions as multiplicities").
+`permanent_naive` is the permutation-sum cross-check.
 
 Every detection probability is a signed sum of its permanents. For
 photons whose circuit columns form U (rows = output modes, columns =
@@ -20,8 +22,8 @@ is the probability, times the input norm perm(delta_in o S), that every
 clicked row C receives a photon, no silent row does and the free rows F
 take the rest (`_clicked_subset_sums`; Shchesnovich, PRA 91, 013844
 (2015)). `protocol.signature_probability` is this sum over the rows of a
-detector signature; `_doubled_subset_sums` is it for every doubling of
-the photons, from one H_T stack on the undoubled ones. The
+detector signature; `_doubled_subset_sums` is its weighted sum over the
+doublings of the photons, from one H_T stack on the undoubled ones. The
 multipermanent of one Fock output, the double-permutation sum
 
     Perm(W) = sum_{sigma, rho} prod_j W[sigma_j, rho_j, j],
@@ -70,25 +72,24 @@ BLOCK_BITS = 10
 
 
 @lru_cache(maxsize=None)
-def _ryser_tables(n: int, top: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _ryser_tables(n: int, top: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ryser's tables for multiplicities up to `top`: the (n, (top+1)**n)
     table whose column x holds counts x_g in 0..top (digit g of x in base
-    top + 1), and the (top**n, (top+1)**n) coefficients
-
-        (-1)**(|m| - |x|) prod_g C(m_g, x_g),
-
-    row M for the multiplicities m_g = 1 + (digit g of M in base top), so
-    0 wherever some x_g > m_g. At top = 1 they are the 0/1 subset table
-    and the one row of Ryser signs (-1)**(n - |X|)."""
+    top + 1); the per-photon coefficients (-1)**(m - x_g) C(m, x_g) of each
+    multiplicity m = 1..top, shape (top, n, (top+1)**n), 0 wherever
+    x_g > m; and their product over the photons at m = 1, Ryser's signs
+    (-1)**(n - |x|) (0 off the 0/1 columns). At top = 1 they are the 0/1
+    subset table and the signs of `permanent_batch`."""
     xs = [x[::-1] for x in itertools.product(range(top + 1), repeat=n)]
-    ms = [tuple(1 + g for g in m[::-1]) for m in itertools.product(range(top), repeat=n)]
-    coefs = np.array(
-        [[(-1) ** (sum(m) + sum(x)) * prod(map(comb, m, x)) for x in xs] for m in ms], dtype=float
-    )
     table = np.array([[x[g] for x in xs] for g in range(n)], dtype=complex).reshape(n, len(xs))
-    for cached in (table, coefs):
+    coefs = np.array(
+        [[[(-1) ** (m + x[g]) * comb(m, x[g]) for x in xs] for g in range(n)]
+         for m in range(1, top + 1)], dtype=float
+    ).reshape(top, n, len(xs))
+    signs = coefs[0].prod(axis=0)
+    for cached in (table, coefs, signs):
         cached.flags.writeable = False
-    return table, coefs
+    return table, coefs, signs
 
 
 def permanent_batch(a) -> np.ndarray:
@@ -107,7 +108,7 @@ def permanent_batch(a) -> np.ndarray:
     a = _square_stack(a)
     n = a.shape[-1]
     low = min(n, BLOCK_BITS)
-    table, (signs,) = _ryser_tables(low)
+    table, _, signs = _ryser_tables(low)
     sums = a[..., :low] @ table
     if n == low:
         return (np.prod(sums, axis=-2) * signs).sum(axis=-1)
@@ -120,31 +121,33 @@ def permanent_batch(a) -> np.ndarray:
     return total
 
 
-def permanent_doubled_batch(a) -> np.ndarray:
-    """Permanents of every doubling of a stack of square matrices (..., n, n):
-    entry M of the result, shape (..., 2**n), is the permanent of the
-    matrix in which row and column g appear twice when bit g of M is set,
-    so entry 0 is `permanent_batch(a)`. Ryser's formula with
-    multiplicities m_g in {1, 2} (Chin & Huh, Sci. Rep. 8, 6101 (2018)),
+def permanent_mixture_batch(a, w1: float, w2: float) -> np.ndarray:
+    """sum_{M nonempty} w1**(n - |M|) w2**|M| perm(A[M]) for a stack of
+    square matrices A (..., n, n), A[M] holding row and column g twice for
+    each g in M. Ryser's formula with multiplicities m_g in {1, 2} (Chin &
+    Huh, Sci. Rep. 8, 6101 (2018)) runs over one cached table of x in
+    {0, 1, 2}**n, with R_g = sum_h x_h A[g, h] and c_m(x_g) =
+    (-1)**(m - x_g) C(m, x_g). Rows and columns are the same photons, so
+    the sum over M factors per photon into a_g = w1 c1 R_g (g single) and
+    b_g = w2 c2 R_g**2 (g doubled):
 
-        perm = sum_{0 <= x_g <= m_g} (-1)**(|m| - |x|) prod_g C(m_g, x_g)
-               prod_i (sum_g x_g A[i, g]) ** m_i,
+        sum_x [prod_g (a_g + b_g) - prod_g a_g]
+            = sum_x sum_k prod_{g<k} a_g * b_k * prod_{g>k} (a_g + b_g),
 
-    runs over one cached table of x in {0, 1, 2}**n for every M at once;
-    the coefficient is 0 where x_g > m_g. Memory grows as 6**n, so this
-    is for the few photons of one emission mixture.
+    summed photon by photon in the second form, so the undoubled product,
+    the bulk of the permanent, is never formed and cancelled
+    (notes/decisions.md). Exactly 0 at w2 = 0.
     """
     a = _square_stack(a)
-    table, coefs = _ryser_tables(a.shape[-1], 2)
-    rows = np.moveaxis(a @ table, -2, 0)  # (n, ..., 3**n)
-    # prod_i rows_i ** m_i: the product over all rows times the product over
-    # the doubled rows, built one row (one bit of M) at a time
-    terms = np.empty((len(coefs), *rows.shape[1:]), dtype=complex)
-    terms[0] = np.prod(rows, axis=0)
-    for i, row in enumerate(rows):
-        np.multiply(terms[: 1 << i], row, out=terms[1 << i : 2 << i])
-    # einsum sums without BLAS and without a temporary as large as `terms`
-    return np.einsum("m...x,mx->...m", terms, coefs)
+    table, (c1, c2), _ = _ryser_tables(a.shape[-1], 2)
+    rows = a @ table  # (..., n, 3**n)
+    single = w1 * c1 * rows
+    double = w2 * c2 * rows**2
+    total, lead = double[..., 0, :], single[..., 0, :]
+    for g in range(1, rows.shape[-2]):
+        total = total * (single[..., g, :] + double[..., g, :]) + double[..., g, :] * lead
+        lead = lead * single[..., g, :]
+    return total.sum(axis=-1)
 
 
 def permanent(a) -> complex:
@@ -182,10 +185,9 @@ class DistinguishabilityMatrix:
             raise ValueError("Gram matrix must be square")
         if not np.isfinite(s).all():
             raise ValueError("Gram matrix entries must be finite")
-        # np.allclose's test |a - b| <= 1e-10 + 1e-5 |b|, written out: its
-        # wrapper cost more than the g2 = 0 visibility itself
-        adjoint = s.conj().T
-        if not (np.abs(s - adjoint) <= 1e-10 + 1e-5 * np.abs(adjoint)).all():
+        # absolute, at the tolerance every detection probability is held
+        # real to: a larger asymmetry would pass here and fail in the kernels
+        if not (np.abs(s - s.conj().T) <= REAL_TOL).all():
             raise ValueError("Gram matrix must be Hermitian")
         if not (np.abs(s.diagonal() - 1.0) <= 1e-10 + 1e-5).all():
             raise ValueError("Gram matrix must have unit diagonal")
@@ -297,20 +299,16 @@ def _subset_stack(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _doubled_subset_sums(
-    u: np.ndarray, s: np.ndarray, clicked: tuple[int, ...], silent: tuple[int, ...] = ()
+    u: np.ndarray, s: np.ndarray, clicked: tuple[int, ...], silent: tuple[int, ...], w1, w2
 ) -> np.ndarray:
-    """`_clicked_subset_sums` for every doubling of each of p photon sets:
-    entry M of the (p, 2**n) result is the sum for the photons in which
-    photon g is doubled (a second photon in the same mode and internal
-    state) when bit g of M is set. One H_T stack on the n photons serves
-    every M (`permanent_doubled_batch`). Needs n >= |C|; the free rows stay
-    in every term, so with n == |C| entry 0 lacks the filled path's
-    accuracy, and the purifier takes it from its closed form instead
-    (`protocol._mixture_probabilities`).
-    """
+    """`_clicked_subset_sums` of each of p photon sets, summed over their
+    doublings (a second photon in a photon's mode and state) with the
+    weights of `permanent_mixture_batch`, shape (p,). One H_T stack on the
+    base photons serves every doubling. The free rows stay in every term;
+    the purifier's undoubled term has a closed form in `protocol`."""
     masks, signs = _subset_masks(u.shape[1], clicked, silent, True)
-    perms = permanent_doubled_batch(_subset_stack(u, masks[None]) * s[:, None])
-    return _real_part((perms.swapaxes(-1, -2) * signs).sum(axis=-1), "detection probability")
+    perms = permanent_mixture_batch(_subset_stack(u, masks[None]) * s[:, None], w1, w2)
+    return _real_part((perms * signs).sum(axis=-1), "detection probability")
 
 
 def _input_norm(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -319,13 +317,6 @@ def _input_norm(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
     delta_in[k, l] = 1 when photons k and l share a mode."""
     same_mode = in_modes[:, :, None] == in_modes[:, None, :]
     return _real_part(permanent_batch(same_mode * s), "input-state norm")
-
-
-def _doubled_input_norms(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """`_input_norm` for every doubling of each input state, (p, 2**n),
-    indexed as in `_doubled_subset_sums`."""
-    same_mode = in_modes[:, :, None] == in_modes[:, None, :]
-    return _real_part(permanent_doubled_batch(same_mode * s), "input-state norm")
 
 
 def multipermanent_batch(bs: np.ndarray, ss: np.ndarray) -> np.ndarray:

@@ -25,9 +25,10 @@ with S_AB the overlaps of copy A's photons with copy B's; the raw test
 has one photon per copy, so W = |S_03|^2 there. No circuit is built.
 Under multiphoton noise (g2 > 0) every input may carry a doubled
 emission: the placement without one takes the same closed form, scaled by
-the reference circuit's route amplitudes, and all others come from one
-evaluation of Ryser's formula with multiplicities on the base photons
-(`_mixture_probabilities`).
+the reference circuit's route amplitudes, and the weighted sum of all
+others is one evaluation of Ryser's formula with multiplicities on the
+base photons of both circuits, the emission weights folded into one
+factor per photon (`_mixture_probabilities`).
 
 `signature_probability` and `hom_visibility` evaluate any signature on any
 circuit: the inclusion-exclusion of `permanents._clicked_subset_sums` over
@@ -39,7 +40,7 @@ photons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import factorial, sqrt
+from math import factorial, inf, sqrt
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .permanents import (
     DistinguishabilityMatrix,
     _as_gram,
     _clicked_subset_sums,
-    _doubled_input_norms,
     _doubled_subset_sums,
     _effective_gram,
     _input_norm,
@@ -115,8 +115,9 @@ class Scenario:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "constant" and self.c is None:
             raise ValueError("constant model needs an overlap c")
-        if self.model == "pure_dephasing" and (self.x is None or self.x < 0):
-            raise ValueError("pure_dephasing model needs x = 2*gamma_d/gamma >= 0")
+        if self.model == "pure_dephasing" and not (self.x is not None and 0.0 <= self.x < inf):
+            raise ValueError(f"pure_dephasing model needs a finite x = 2*gamma_d/gamma >= 0, "
+                             f"got {self.x!r}")
         if self.model == "polarization":
             if self.theta_deg is None:
                 raise ValueError("polarization model needs theta_deg")
@@ -270,14 +271,19 @@ def _mixture_probabilities(
 
     Each of the N base photons independently carries a doubled emission
     with probability p2, a second photon in its mode and internal state.
-    Sums (1 - p2)^(N - eta) * p2^eta * P over all 2^N placements, eta the
-    number of doubled photons. Without a doubling (eta = 0) the base photons
-    fill the clicked detectors and the g2 = 0 closed form holds: P_ref = K N
-    and P_out = P_ref (1 - V) / 2, with N and V from `_heralded_overlaps`
-    and K the product over the photons of |U[reached, mode]|^2 in `ref`:
-    one heralded route per photon, and every route gives the same K. The
-    doubled placements share one H_T stack on the base photons and Ryser's
-    formula with multiplicities (`permanents._doubled_subset_sums`).
+    The base modes are distinct, so a placement M of doubled photons has
+    input norm 2^|M|, and
+
+        P = (1 - p2)^N P_0 + sum_{M nonempty} (1 - p2)^(N - |M|) (p2 / 2)^|M| P_M,
+
+    with P_M the unnormalised signature sum of placement M. Without a
+    doubling the base photons fill the clicked detectors and the g2 = 0
+    closed form holds: P_ref,0 = K N and P_out,0 = P_ref,0 (1 - V) / 2,
+    with N and V from `_heralded_overlaps` and K the product over the
+    photons of |U[reached, mode]|^2 in `ref`: one heralded route per
+    photon, and every route gives the same K. The rest is one evaluation
+    of Ryser's formula with multiplicities on the base photons of both
+    circuits (`permanents._doubled_subset_sums`).
     """
     if len(s) == 2:
         modes, pattern, reached = RAW_INPUT_MODES, COINCIDENCE_PATTERN, (2, 3)
@@ -285,19 +291,13 @@ def _mixture_probabilities(
         modes, pattern, reached = PURIFIER_INPUT_MODES, HERALDED_PATTERN, (1, 2, 3, 4)
     ((w, norm),) = _heralded_overlaps([s])
     p_ref = norm * float(np.prod(np.abs(circuits[1].matrix[reached, modes]) ** 2))
-    singles = (p_ref * (1.0 - _hom(r_final, w)) / 2.0, p_ref)
-    n = len(modes)
-    eta = np.array([bin(m).count("1") for m in range(1 << n)])
-    weights = (1.0 - p2) ** (n - eta) * p2**eta
-    norms = _doubled_input_norms(np.array([modes]), s[None])
-    probs = []
-    for circuit, single in zip(circuits, singles):
-        u_in = circuit.matrix[:, modes][None]
-        p = (_doubled_subset_sums(u_in, s[None], pattern.clicked_modes, pattern.silent_modes)
-             / norms)[0]
-        p[0] = single
-        probs.append(float((weights * p).sum()))
-    return probs[0], probs[1]
+    singles = np.array([p_ref * (1.0 - _hom(r_final, w)) / 2.0, p_ref])
+    u_in = np.stack([circuit.matrix[:, modes] for circuit in circuits])
+    doubled = _doubled_subset_sums(
+        u_in, s[None], pattern.clicked_modes, pattern.silent_modes, 1.0 - p2, p2 / 2.0
+    )
+    p_out, p_ref = (1.0 - p2) ** len(modes) * singles + doubled
+    return float(p_out), float(p_ref)
 
 
 def _raw_gram(s4: np.ndarray) -> np.ndarray:

@@ -36,8 +36,10 @@ def test_coincidence_rejects_inconsistent_moments():
 
 def test_purified_closed_form_limits():
     assert pd_purified(0.0) == 1.0
-    with pytest.raises(ValueError):
-        pd_purified(-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        for model in (pd_moments, pd_purified):
+            with pytest.raises(ValueError, match="x must be a finite number >= 0"):
+                model(bad)
 
 
 def test_purified_closed_form_value_small_x():

@@ -39,6 +39,14 @@ def test_dephasing_params_validation():
         DephasingParams(gamma=0.0)
     with pytest.raises(ValueError):
         DephasingParams(gamma=1.0, gamma_d=-0.1)
+    for bad in (float("nan"), float("inf")):
+        for field, kwargs in (("gamma", {"gamma": bad}),
+                              ("gamma_d", {"gamma": 1.0, "gamma_d": bad}),
+                              ("deltas", {"gamma": 1.0, "deltas": (0.0, bad)})):
+            with pytest.raises(ValueError, match=field):
+                DephasingParams(**kwargs)
+        with pytest.raises(ValueError, match="x must be"):
+            DephasingParams.from_x(bad)
     p = DephasingParams.from_x(0.4)
     assert p.x == pytest.approx(0.4)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hompurify import permanents
-from hompurify.permanents import permanent_doubled_batch
+from hompurify.permanents import permanent_mixture_batch
 from hompurify import (
     AssignmentList,
     DistinguishabilityMatrix,
@@ -21,6 +21,7 @@ from hompurify import (
     permanent,
     permanent_batch,
     permanent_naive,
+    purified_visibility,
     submatrix,
 )
 
@@ -101,27 +102,22 @@ def doubled(a, m):
     return a[np.ix_(idx, idx)]
 
 
-def test_doubled_permanents_match_expanded_permutation_sum():
-    """Ryser's formula with multiplicities is the permanent of the matrix
-    whose doubled rows and columns are written out."""
+def test_mixture_kernel_matches_expanded_doublings():
+    """The per-photon factorisation of Ryser's formula with multiplicities
+    is the weighted sum of the permanents of the matrices whose doubled
+    rows and columns are written out, and exactly 0 without doublings."""
     rng = np.random.default_rng(14)
-    for n in range(1, 5):
+    for n, (w1, w2) in itertools.product(range(1, 5), ((1.0, 0.0), (0.97, 0.015), (0.2, 0.4))):
         stack = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
-        vals = permanent_doubled_batch(stack)
-        assert vals.shape == (2, 1 << n)
-        for k, m in itertools.product(range(2), range(1 << n)):
-            if n + bin(m).count("1") > 7:
-                continue
-            ref = permanent_naive(doubled(stack[k], m))
-            assert abs(vals[k, m] - ref) <= 1e-12 * abs(ref), (n, m)
-
-
-def test_doubled_permanents_without_doubling_are_permanent_batch():
-    rng = np.random.default_rng(15)
-    for n in range(1, 6):
-        stack = rng.normal(size=(3, 4, n, n)) + 1j * rng.normal(size=(3, 4, n, n))
-        np.testing.assert_allclose(permanent_doubled_batch(stack)[..., 0],
-                                   permanent_batch(stack), rtol=1e-13, atol=0)
+        vals = permanent_mixture_batch(stack, w1, w2)
+        assert vals.shape == (2,)
+        if w2 == 0.0:
+            assert (vals == 0.0).all()
+            continue
+        for k in range(2):
+            ref = sum(w1 ** (n - bin(m).count("1")) * w2 ** bin(m).count("1")
+                      * permanent_naive(doubled(stack[k], m)) for m in range(1, 1 << n))
+            assert abs(vals[k] - ref) <= 1e-12 * abs(ref), (n, w1, w2)
 
 
 def test_permanent_rejects_non_square():
@@ -142,6 +138,15 @@ def test_gram_matrix_validation():
             s[where] = bad
             with pytest.raises(ValueError, match="finite"):
                 DistinguishabilityMatrix(s)
+    # an asymmetry the old 1e-5 relative test let through, which every
+    # kernel then rejected as non-real
+    s = constant_overlap_S(4, 0.5).entries.copy()
+    s[0, 3] = 0.5 + 4e-6j
+    with pytest.raises(ValueError, match="Hermitian"):
+        DistinguishabilityMatrix(s)
+    s[0, 3] = 0.5 + 1e-14j  # rounding asymmetry: accepted, and the kernels agree
+    v_raw, v_pure = purified_visibility(DistinguishabilityMatrix(s))
+    assert (v_raw, v_pure) == pytest.approx((0.25, 0.36), abs=1e-12)
     s = DistinguishabilityMatrix(np.eye(3))
     assert s.n == 3
 

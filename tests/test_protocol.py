@@ -607,8 +607,9 @@ def test_scenario_validation_and_rows():
         Scenario("s", "constant")
     with pytest.raises(ValueError):
         Scenario("s", "unknown", c=0.5)
-    with pytest.raises(ValueError, match="x = 2"):
-        Scenario("s", "pure_dephasing", x=-1.0)
+    for bad in (-1.0, float("nan"), float("inf"), None):
+        with pytest.raises(ValueError, match="finite x = 2"):
+            Scenario("s", "pure_dephasing", x=bad)
     row = evaluate_scenario(Scenario("ideal", "constant", c=1.0))
     assert row["v_raw"] == pytest.approx(1.0)
     assert row["v_pure"] == pytest.approx(1.0)
