@@ -348,18 +348,18 @@ def cmd_mc_dephasing(args) -> int:
         params, n_photons=args.photons, n_samples=args.samples, seed=args.seed,
         dt=args.dt, horizon=args.horizon,
     )
-    moments = dephasing.estimate_overlap_moments(samples)
     per_sample = dephasing.moment_samples(samples)
-    n = args.samples
+    moments = dephasing.OverlapMoments(**{k: float(v.mean()) for k, v in per_sample.items()})
+    se = {k: float(v.std(ddof=1) / np.sqrt(args.samples)) for k, v in per_sample.items()}
     report = {
         "x": params.x,
         "pair_mc": moments.pair,
-        "pair_se": float(per_sample["pair"].std(ddof=1) / np.sqrt(n)),
+        "pair_se": se["pair"],
         "pair_analytic": distinguishability.dephasing_overlap(params),
         "triple_mc": moments.triple,
-        "triple_se": float(per_sample["triple"].std(ddof=1) / np.sqrt(n)),
+        "triple_se": se["triple"],
         "quad_mc": moments.quad,
-        "quad_se": float(per_sample["quad"].std(ddof=1) / np.sqrt(n)),
+        "quad_se": se["quad"],
         "purified_mc": 1.0 - 2.0 * dephasing.pd_coincidence(moments),
         "purified_closed_form": dephasing.pd_purified(params.x),
     }

@@ -55,13 +55,17 @@ class PolarizationState:
 
     def __post_init__(self):
         norm = abs(self.amplitude_h) ** 2 + abs(self.amplitude_v) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"polarization state not normalized (norm^2 = {norm})")
+        if not abs(norm - 1.0) <= 1e-12:  # false for NaN and inf amplitudes too
+            raise ValueError(f"polarization state needs finite amplitudes with norm^2 = 1, "
+                             f"got ({self.amplitude_h!r}, {self.amplitude_v!r}), "
+                             f"norm^2 = {norm}")
 
     @classmethod
     def linear(cls, angle_rad: float) -> "PolarizationState":
         """Linear polarization rotated by `angle_rad` from horizontal (the
         action of a half-wave plate at half that angle)."""
+        if not math.isfinite(angle_rad):
+            raise ValueError(f"polarization angle must be finite, got {angle_rad!r}")
         return cls(float(np.cos(angle_rad)), float(np.sin(angle_rad)))
 
     def overlap(self, other: "PolarizationState") -> complex:
@@ -98,6 +102,32 @@ def polarization_S(states) -> DistinguishabilityMatrix:
     return DistinguishabilityMatrix(s)
 
 
+def _gram_chunk(phi, det_phase, density, out):
+    """Gram matrices of phase trajectories `phi` (b, p, steps), written
+    into `out` (b samples, or any count when b = 1 and every sample is the
+    same)."""
+    b, p, nt = phi.shape
+    acc = np.zeros((b, 2 * p, 2 * p))
+    cos_sin = np.empty((b, 2 * p, _TIME_BLOCK))
+    for lo in range(0, nt, _TIME_BLOCK):
+        block = slice(lo, lo + _TIME_BLOCK)
+        theta = phi[:, :, block]
+        if det_phase is not None:
+            theta = theta + det_phase[:, block]
+        a = cos_sin[:, :, : theta.shape[2]]
+        np.cos(theta, out=a[:, :p])
+        np.sin(theta, out=a[:, p:])
+        acc += (a * density[block]) @ a.transpose(0, 2, 1)
+    cc, cs = acc[:, :p, :p], acc[:, :p, p:]
+    sc, ss = acc[:, p:, :p], acc[:, p:, p:]
+    grams = (cc + ss) + 1j * (sc - cs)
+    # enforce exact unit diagonal / Hermiticity against roundoff
+    grams = 0.5 * (grams + grams.conj().transpose(0, 2, 1))
+    idx = np.arange(p)
+    grams[:, idx, idx] = 1.0
+    out[...] = grams
+
+
 def sample_dephased_overlaps(
     params: DephasingParams,
     n_photons: int,
@@ -105,7 +135,7 @@ def sample_dephased_overlaps(
     dt: float | None = None,
     horizon: float | None = None,
     seed: int | None = None,
-    chunk: int = 1000,
+    chunk: int = 128,
 ) -> np.ndarray:
     """Monte Carlo Gram matrices of randomly dephased wavepackets.
 
@@ -121,9 +151,14 @@ def sample_dephased_overlaps(
     theta_j)) with one density W = w gamma e^(-gamma t) / sum(w gamma
     e^(-gamma t)). The sums are taken in real arithmetic: over time blocks
     of `_TIME_BLOCK` steps, A = [cos theta; sin theta] gives (A W) A^T,
-    whose cos/sin blocks make Re S = CC + SS and Im S = SC - CS. Memory is
-    bounded by one chunk of draws, (chunk, n_photons, steps) floats, plus
-    one block, whatever `n_samples` is.
+    whose cos/sin blocks make Re S = CC + SS and Im S = SC - CS.
+
+    Samples run in chunks of `chunk` draws as a two-stage pipeline: this
+    thread draws and sums the phases of one chunk while a single worker
+    thread turns the previous chunk into Gram matrices. At most two chunks
+    of draws, (chunk, n_photons, steps) floats each, are live at once,
+    whatever `n_samples` is. With gamma_d = 0 every sample is the same,
+    so one Gram matrix is computed and broadcast.
 
     A seed is required: sampling is deterministic given
     (seed, dt, horizon, n_samples); `chunk` does not change the result.
@@ -149,36 +184,30 @@ def sample_dephased_overlaps(
     density /= density.sum()
     det_phase = deltas[:, None] * t[None, :] if deltas.any() else None
 
-    rng = np.random.default_rng(seed)
-    sigma_step = np.sqrt(2.0 * gamma_d * dt)
     p = n_photons
     out = np.empty((n_samples, p, p), dtype=complex)
-    for done in range(0, n_samples, chunk):
-        b = min(chunk, n_samples - done)
-        if gamma_d > 0:
+    if gamma_d == 0:
+        _gram_chunk(np.zeros((1, p, nt)), det_phase, density, out)
+        return out
+
+    # The draws stay on this thread, in order: the PCG64 stream defines
+    # every seeded result. numpy drops the GIL in the draws and in the
+    # cos/sin/matmul loops, so the two stages overlap. Imported here so
+    # that `import hompurify` does not load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(seed)
+    sigma_step = np.sqrt(2.0 * gamma_d * dt)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for done in range(0, n_samples, chunk):
+            b = min(chunk, n_samples - done)
             phi = rng.normal(scale=sigma_step, size=(b, p, nt))
             phi[:, :, 0] = 0.0
             np.cumsum(phi, axis=2, out=phi)
-        else:
-            phi = np.zeros((1, p, nt))  # every sample is the same
-        acc = np.zeros((len(phi), 2 * p, 2 * p))
-        cos_sin = np.empty((len(phi), 2 * p, _TIME_BLOCK))
-        for lo in range(0, nt, _TIME_BLOCK):
-            block = slice(lo, lo + _TIME_BLOCK)
-            theta = phi[:, :, block]
-            if det_phase is not None:
-                theta = theta + det_phase[:, block]
-            a = cos_sin[:, :, : theta.shape[2]]
-            np.cos(theta, out=a[:, :p])
-            np.sin(theta, out=a[:, p:])
-            acc += (a * density[block]) @ a.transpose(0, 2, 1)
-        cc, cs = acc[:, :p, :p], acc[:, :p, p:]
-        sc, ss = acc[:, p:, :p], acc[:, p:, p:]
-        grams = (cc + ss) + 1j * (sc - cs)
-        # enforce exact unit diagonal / Hermiticity against roundoff
-        grams = 0.5 * (grams + grams.conj().transpose(0, 2, 1))
-        idx = np.arange(p)
-        grams[:, idx, idx] = 1.0
-        out[done : done + b] = grams
-        del phi, theta, a, cos_sin, acc  # free this chunk before the next draw
+            if pending is not None:
+                pending.result()  # re-raises a worker error here
+            pending = worker.submit(_gram_chunk, phi, det_phase, density, out[done : done + b])
+        if pending is not None:
+            pending.result()
     return out

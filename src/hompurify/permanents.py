@@ -186,10 +186,11 @@ class DistinguishabilityMatrix:
         if not np.isfinite(s).all():
             raise ValueError("Gram matrix entries must be finite")
         # absolute, at the tolerance every detection probability is held
-        # real to: a larger asymmetry would pass here and fail in the kernels
+        # real to: a larger asymmetry would pass here and fail in the
+        # kernels, and a larger diagonal defect would silently shift them
         if not (np.abs(s - s.conj().T) <= REAL_TOL).all():
             raise ValueError("Gram matrix must be Hermitian")
-        if not (np.abs(s.diagonal() - 1.0) <= 1e-10 + 1e-5).all():
+        if not (np.abs(s.diagonal() - 1.0) <= REAL_TOL).all():
             raise ValueError("Gram matrix must have unit diagonal")
         if np.any(np.abs(s) > 1 + 1e-10):
             raise ValueError("overlap magnitudes cannot exceed 1")

@@ -40,7 +40,7 @@ photons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import factorial, inf, sqrt
+from math import factorial, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -119,8 +119,9 @@ class Scenario:
             raise ValueError(f"pure_dephasing model needs a finite x = 2*gamma_d/gamma >= 0, "
                              f"got {self.x!r}")
         if self.model == "polarization":
-            if self.theta_deg is None:
-                raise ValueError("polarization model needs theta_deg")
+            if self.theta_deg is None or not isfinite(self.theta_deg):
+                raise ValueError(f"polarization model needs a finite theta_deg, "
+                                 f"got {self.theta_deg!r}")
             if self.direction not in ("same", "opposite"):
                 raise ValueError("direction must be 'same' or 'opposite'")
 

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,12 @@ def test_dephasing_overlap_values():
 def test_polarization_state():
     with pytest.raises(ValueError):
         PolarizationState(1.0, 0.5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            PolarizationState.linear(bad)
+        for amplitudes in ((bad, 0.0), (1.0, complex(0.0, bad))):
+            with pytest.raises(ValueError, match="finite amplitudes"):
+                PolarizationState(*amplitudes)
     h = PolarizationState.linear(0.0)
     v = PolarizationState.linear(np.pi / 2)
     assert h.overlap(v) == pytest.approx(0.0, abs=1e-15)
@@ -137,16 +144,54 @@ def test_sampler_matches_complex_oracle(params, n_photons, n_samples, kwargs):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "params",
+    [DephasingParams(gamma=1.0, gamma_d=0.3, deltas=(1.0, 0.0, -0.5, 2.0)),
+     DephasingParams(gamma=1.0, gamma_d=0.0, deltas=(1.0, 0.0, -0.5, 2.0))],
+    ids=["dephased", "gd0"],
+)
+def test_sampler_bit_identical_across_chunks(params):
+    # 263 is prime: every chunk size but 1 and 263 leaves a short last chunk
+    n = 263
+    want = sample_dephased_overlaps(params, 4, n, seed=4, chunk=n)  # one chunk, no overlap
+    for chunk in (1, 7, None, 1000):
+        kwargs = {} if chunk is None else {"chunk": chunk}
+        assert np.array_equal(sample_dephased_overlaps(params, 4, n, seed=4, **kwargs), want)
+
+
+@pytest.mark.parametrize("fail_at", [2, 5], ids=["mid", "last"])
+def test_sampler_worker_error_reaches_caller(monkeypatch, fail_at):
+    from hompurify import distinguishability
+
+    threads = []
+    real = distinguishability._gram_chunk
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        if len(threads) == fail_at:
+            raise RuntimeError("worker failed")
+        return real(*args)
+
+    start = threading.active_count()
+    monkeypatch.setattr(distinguishability, "_gram_chunk", failing)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        sample_dephased_overlaps(DephasingParams.from_x(0.2), 2, 50, seed=1, chunk=10)
+    assert threading.main_thread() not in threads
+    assert threading.active_count() == start
+
+
 def test_sampler_memory_bounded_by_one_chunk():
-    # two chunks of 1000 draws; the bound is one chunk of phases (48 MB)
-    # plus one time block, not the number of samples
+    # 16 chunks of 128 draws; at most two chunks of phases (6.1 MB each)
+    # are live, plus one time block of scratch: about 18 MB, whatever the
+    # number of samples. The bound leaves room for a third chunk in the
+    # moment the worker hands one back; 1000-draw chunks take 131 MB.
     tracemalloc.start()
     try:
         sample_dephased_overlaps(DephasingParams.from_x(0.2), 4, 2000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    assert peak < 25e6
 
 
 def test_sampler_mean_matches_analytic_overlap():

@@ -147,6 +147,15 @@ def test_gram_matrix_validation():
     s[0, 3] = 0.5 + 1e-14j  # rounding asymmetry: accepted, and the kernels agree
     v_raw, v_pure = purified_visibility(DistinguishabilityMatrix(s))
     assert (v_raw, v_pure) == pytest.approx((0.25, 0.36), abs=1e-12)
+    # a diagonal defect the old 1e-5 tolerance let through, which then
+    # shifted V_pure to 0.360001512 without an error
+    s = constant_overlap_S(4, 0.5).entries.copy()
+    s[0, 0] = 1 - 9e-6
+    with pytest.raises(ValueError, match="unit diagonal"):
+        DistinguishabilityMatrix(s)
+    s[0, 0] = 1 - 1e-14  # rounding: accepted
+    v_raw, v_pure = purified_visibility(DistinguishabilityMatrix(s))
+    assert (v_raw, v_pure) == pytest.approx((0.25, 0.36), abs=1e-12)
     s = DistinguishabilityMatrix(np.eye(3))
     assert s.n == 3
 

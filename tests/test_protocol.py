@@ -610,6 +610,9 @@ def test_scenario_validation_and_rows():
     for bad in (-1.0, float("nan"), float("inf"), None):
         with pytest.raises(ValueError, match="finite x = 2"):
             Scenario("s", "pure_dephasing", x=bad)
+    for bad in (float("nan"), float("inf"), -float("inf"), None):
+        with pytest.raises(ValueError, match="finite theta_deg"):
+            Scenario("s", "polarization", theta_deg=bad)
     row = evaluate_scenario(Scenario("ideal", "constant", c=1.0))
     assert row["v_raw"] == pytest.approx(1.0)
     assert row["v_pure"] == pytest.approx(1.0)
