@@ -58,10 +58,6 @@ class AssignmentList:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @classmethod
-    def identity(cls, n_photons: int) -> "AssignmentList":
-        return cls(range(n_photons))
-
 
 @dataclass(frozen=True)
 class ClickPattern:

@@ -31,7 +31,10 @@ multipermanent of one Fock output, the double-permutation sum
 
 with A photon-major (row k = input photon k, column j = output slot j),
 is the same sum with every output slot a clicked row and no free row:
-2 ** n permanents of 2 ** n subsets each, O(4 ** n * n).
+2 ** n permanents of 2 ** n subsets each, O(4 ** n * n). It and every
+signature whose photons exactly fill the clicked rows share
+`_filled_subset_sums`, which always rescales rows and photons by powers
+of two. Every subset table and sign comes from `_ryser_tables`.
 """
 
 from __future__ import annotations
@@ -233,26 +236,43 @@ def _real_part(vals: np.ndarray, what: str) -> np.ndarray:
     return vals.real
 
 
-# squared norm below which `_clicked_subset_sums` rescales a filled signature
-DARK = 2.0**-8
-
-
 @lru_cache(maxsize=None)
 def _subset_masks(
-    n_rows: int, clicked: tuple[int, ...], silent: tuple[int, ...], free: bool
+    n_rows: int, clicked: tuple[int, ...], silent: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator rows of K = free rows | T (K = T when `free` is false)
-    for every T subset of `clicked`, shape (2**|clicked|, n_rows), and
-    the signs (-1)**(|clicked| - |T|). Free rows are all rows neither
-    clicked nor silent."""
-    masks = np.full((1 << len(clicked), n_rows), float(free))
+    """Indicator rows of K = F | T for every T subset of `clicked`, shape
+    (2**|clicked|, n_rows), with F the free rows (neither clicked nor
+    silent), and the signs (-1)**(|clicked| - |T|): the subset table and
+    signs of `_ryser_tables(len(clicked))`."""
+    table, _, signs = _ryser_tables(len(clicked))
+    masks = np.ones((len(signs), n_rows))
     masks[:, list(silent)] = 0.0
-    bits = (np.arange(len(masks))[:, None] >> np.arange(len(clicked))) & 1
-    masks[:, list(clicked)] = bits
-    signs = (-1.0) ** (len(clicked) - bits.sum(axis=1))
-    for cached in (masks, signs):
-        cached.flags.writeable = False
+    masks[:, list(clicked)] = table.T.real
+    masks.flags.writeable = False
     return masks, signs
+
+
+def _filled_subset_sums(b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The inclusion-exclusion sum of `_clicked_subset_sums` when every
+    row of `b` (p, n, n) is clicked and holds one of the n photons:
+
+        sum_{T subset rows} (-1)**(n - |T|) perm((B^dagger diag(1_T) B) o S).
+
+    The sum is linear in |B[m, k]|**2 for each row m and photon k, so
+    scaling columns, then rows, by powers of two to norms in [0.5, 1) is
+    exact and keeps nearly dark ones out of the terms' rounding; the
+    exponent floor keeps every factor finite, and `np.ldexp` undoes the
+    scale on the result (notes/decisions.md). Returns real values.
+    """
+    w = np.abs(b) ** 2
+    e_col = np.maximum(np.frexp(np.sqrt(w.sum(axis=1)))[1], -400)
+    w = np.ldexp(w, -2 * e_col[:, None, :])
+    e_row = np.maximum(np.frexp(np.sqrt(w.sum(axis=2)))[1], -400)
+    b = b * np.ldexp(1.0, -e_col)[:, None, :] * np.ldexp(1.0, -e_row)[:, :, None]
+    table, _, signs = _ryser_tables(b.shape[-1])
+    perms = permanent_batch(_subset_stack(b, table.T.real) * s[:, None])
+    shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
+    return np.ldexp(_real_part((perms * signs).sum(axis=-1), "detection probability"), shift)
 
 
 def _clicked_subset_sums(
@@ -265,38 +285,21 @@ def _clicked_subset_sums(
 
     over the clicked rows C of `u` (p, n_rows, n), with `s` (p, n, n) the
     matching Gram matrices and F every row neither clicked nor silent.
-    Needs n >= |C|. With n == |C| no photon is left for F, so F is dropped
-    from every term, and nearly dark rows or photons are rescaled
-    exactly (notes/decisions.md). Returns real values.
+    Needs n >= |C|. With n == |C| no photon is left for F, so only the
+    clicked rows enter: `_filled_subset_sums` of `u[:, C]`, which rescales
+    nearly dark rows and photons exactly. Returns real values.
     """
-    p, n_rows, n = u.shape
-    # with one photon per clicked row none is left for the free rows;
-    # dropping them keeps the terms near the result's size (less cancellation)
-    filled = n == len(clicked)
-    masks, signs = _subset_masks(n_rows, clicked, silent, not filled)
-    weights, shift = masks[None], 0
-    w = np.abs(u[:, clicked]) ** 2  # (p, c, n)
-    if filled and min(w.sum(axis=1).min(), w.sum(axis=2).min()) < DARK:
-        # P is linear in |U[m, k]|**2 for each clicked row m and photon k, so
-        # scaling columns, then rows, by powers of two to norms in [0.5, 1) is
-        # exact and keeps nearly dark ones out of the terms' rounding; the
-        # exponent floor keeps every factor finite (notes/decisions.md)
-        e_col = np.maximum(np.frexp(np.sqrt(w.sum(axis=1)))[1], -400)
-        u = u * np.ldexp(1.0, -e_col)[:, None, :]
-        w = np.ldexp(w, -2 * e_col[:, None, :])
-        e_row = np.maximum(np.frexp(np.sqrt(w.sum(axis=2)))[1], -400)
-        row = np.ones((p, n_rows))
-        row[:, list(clicked)] = np.ldexp(1.0, -2 * e_row)
-        weights = masks[None] * row[:, None, :]
-        shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
-    perms = permanent_batch(_subset_stack(u, weights) * s[:, None])
-    return np.ldexp(_real_part((perms * signs).sum(axis=-1), "detection probability"), shift)
+    if u.shape[-1] == len(clicked):
+        return _filled_subset_sums(u[:, list(clicked)], s)
+    masks, signs = _subset_masks(u.shape[1], clicked, silent)
+    perms = permanent_batch(_subset_stack(u, masks) * s[:, None])
+    return _real_part((perms * signs).sum(axis=-1), "detection probability")
 
 
-def _subset_stack(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """H_T = U^dagger diag(w_T) U for every row-weight vector w_T, from
-    `u` (p, n_rows, n) and `weights` (p or 1, k, n_rows): (p, k, n, n)."""
-    return (u.conj().transpose(0, 2, 1)[:, None] * weights[:, :, None, :]) @ u[:, None]
+def _subset_stack(u: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """H_T = U^dagger diag(m_T) U for every indicator row m_T, from `u`
+    (p, n_rows, n) and `masks` (k, n_rows): (p, k, n, n)."""
+    return (u.conj().transpose(0, 2, 1)[:, None] * masks[:, None, :]) @ u[:, None]
 
 
 def _doubled_subset_sums(
@@ -307,8 +310,8 @@ def _doubled_subset_sums(
     weights of `permanent_mixture_batch`, shape (p,). One H_T stack on the
     base photons serves every doubling. The free rows stay in every term;
     the purifier's undoubled term has a closed form in `protocol`."""
-    masks, signs = _subset_masks(u.shape[1], clicked, silent, True)
-    perms = permanent_mixture_batch(_subset_stack(u, masks[None]) * s[:, None], w1, w2)
+    masks, signs = _subset_masks(u.shape[1], clicked, silent)
+    perms = permanent_mixture_batch(_subset_stack(u, masks) * s[:, None], w1, w2)
     return _real_part((perms * signs).sum(axis=-1), "detection probability")
 
 
@@ -335,7 +338,7 @@ def multipermanent_batch(bs: np.ndarray, ss: np.ndarray) -> np.ndarray:
         raise ValueError("expected a stack of square matrices")
     if ss.shape != bs.shape:
         raise ValueError("Gram stack must match matrix stack")
-    return _clicked_subset_sums(bs, ss, tuple(range(bs.shape[1])))
+    return _filled_subset_sums(bs, ss)
 
 
 def multipermanent(b: np.ndarray, s) -> float:

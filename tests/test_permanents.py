@@ -204,6 +204,21 @@ def test_multipermanent_kernels_agree():
         assert multipermanent(b, s) == pytest.approx(ref, rel=1e-11)
 
 
+def test_multipermanent_dark_row_scales_exactly():
+    """Perm(W) is linear in |B[j, k]|**2 along each output slot j, so one
+    row of `b` scaled by 1e-100 scales it by 1e-200. The power-of-two
+    rescaling of rows and photons keeps such a row out of the terms'
+    rounding."""
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 4, 5):
+        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        s = random_gram(n, rng)
+        dark = b.copy()
+        dark[rng.integers(n)] *= 1e-100
+        want = 1e-200 * multipermanent(b, s)
+        assert multipermanent(dark, s) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_multipermanent_relabeling_invariance():
     rng = np.random.default_rng(6)
     n = 4
