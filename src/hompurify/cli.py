@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -297,19 +298,10 @@ def cmd_fit(args) -> int:
         sigma_t, sigma_v = histogram_fit.mc_uncertainty(
             counts, geometry, args.mc_resamples, seed=args.seed, v_raw=args.v_raw
         )
-        result = histogram_fit.FitResult(
-            t=result.t, v=result.v, residual=result.residual, sigma_t=sigma_t, sigma_v=sigma_v
-        )
+        result = dataclasses.replace(result, sigma_t=sigma_t, sigma_v=sigma_v)
     print(histogram_fit.format_fit_report(result, geometry))
     if args.out:
-        row = {
-            "mode": geometry.mode,
-            "t": result.t,
-            "v": result.v,
-            "residual": result.residual,
-            "sigma_t": result.sigma_t,
-            "sigma_v": result.sigma_v,
-        }
+        row = {"mode": geometry.mode, **dataclasses.asdict(result)}
         config = {
             "counts": str(args.counts),
             "mode": args.mode,

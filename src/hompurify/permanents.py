@@ -22,7 +22,7 @@ is the probability, times the input norm perm(delta_in o S), that every
 clicked row C receives a photon, no silent row does and the free rows F
 take the rest (`_clicked_subset_sums`; Shchesnovich, PRA 91, 013844
 (2015)). `protocol.signature_probability` is this sum over the rows of a
-detector signature; `_doubled_subset_sums` is its weighted sum over the
+detector signature; with emission weights the same body sums it over the
 doublings of the photons, from one H_T stack on the undoubled ones. The
 multipermanent of one Fock output, the double-permutation sum
 
@@ -32,9 +32,9 @@ multipermanent of one Fock output, the double-permutation sum
 with A photon-major (row k = input photon k, column j = output slot j),
 is the same sum with every output slot a clicked row and no free row:
 2 ** n permanents of 2 ** n subsets each, O(4 ** n * n). It and every
-signature whose photons exactly fill the clicked rows share
-`_filled_subset_sums`, which always rescales rows and photons by powers
-of two. Every subset table and sign comes from `_ryser_tables`.
+signature whose photons exactly fill the clicked rows rescale rows and
+photons by powers of two inside that one body. Every subset table and
+sign comes from `_ryser_tables`.
 """
 
 from __future__ import annotations
@@ -252,31 +252,12 @@ def _subset_masks(
     return masks, signs
 
 
-def _filled_subset_sums(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The inclusion-exclusion sum of `_clicked_subset_sums` when every
-    row of `b` (p, n, n) is clicked and holds one of the n photons:
-
-        sum_{T subset rows} (-1)**(n - |T|) perm((B^dagger diag(1_T) B) o S).
-
-    The sum is linear in |B[m, k]|**2 for each row m and photon k, so
-    scaling columns, then rows, by powers of two to norms in [0.5, 1) is
-    exact and keeps nearly dark ones out of the terms' rounding; the
-    exponent floor keeps every factor finite, and `np.ldexp` undoes the
-    scale on the result (notes/decisions.md). Returns real values.
-    """
-    w = np.abs(b) ** 2
-    e_col = np.maximum(np.frexp(np.sqrt(w.sum(axis=1)))[1], -400)
-    w = np.ldexp(w, -2 * e_col[:, None, :])
-    e_row = np.maximum(np.frexp(np.sqrt(w.sum(axis=2)))[1], -400)
-    b = b * np.ldexp(1.0, -e_col)[:, None, :] * np.ldexp(1.0, -e_row)[:, :, None]
-    table, _, signs = _ryser_tables(b.shape[-1])
-    perms = permanent_batch(_subset_stack(b, table.T.real) * s[:, None])
-    shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
-    return np.ldexp(_real_part((perms * signs).sum(axis=-1), "detection probability"), shift)
-
-
 def _clicked_subset_sums(
-    u: np.ndarray, s: np.ndarray, clicked: tuple[int, ...], silent: tuple[int, ...] = ()
+    u: np.ndarray,
+    s: np.ndarray,
+    clicked: tuple[int, ...],
+    silent: tuple[int, ...] = (),
+    weights: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """For each of p photon sets, the inclusion-exclusion sum
 
@@ -285,34 +266,32 @@ def _clicked_subset_sums(
 
     over the clicked rows C of `u` (p, n_rows, n), with `s` (p, n, n) the
     matching Gram matrices and F every row neither clicked nor silent.
-    Needs n >= |C|. With n == |C| no photon is left for F, so only the
-    clicked rows enter: `_filled_subset_sums` of `u[:, C]`, which rescales
-    nearly dark rows and photons exactly. Returns real values.
+    Needs n >= |C|. With `weights` = (w1, w2) each perm is the weighted
+    sum over the doublings of the photons (a second photon in a photon's
+    mode and state) of `permanent_mixture_batch`, one H_T stack on the
+    undoubled photons serving them all.
+
+    Without doublings and with n == |C| no photon is left for F, so only
+    the clicked rows enter. The sum is then linear in |U[m, k]|**2 for
+    each row m and photon k, so scaling photons, then rows, by powers of
+    two to norms in [0.5, 1) is exact and keeps nearly dark ones out of
+    the terms' rounding; the exponent floor keeps every factor finite, and
+    `np.ldexp` undoes the scale on the result (notes/decisions.md).
+    Returns real values.
     """
-    if u.shape[-1] == len(clicked):
-        return _filled_subset_sums(u[:, list(clicked)], s)
+    shift = 0
+    if weights is None and u.shape[-1] == len(clicked):
+        u = u[:, list(clicked)]
+        e_col = np.maximum(np.frexp(np.hypot.reduce(np.abs(u), axis=1))[1], -1021)
+        u = u * np.ldexp(1.0, -e_col)[:, None, :]
+        e_row = np.maximum(np.frexp(np.hypot.reduce(np.abs(u), axis=2))[1], -1021)
+        u = u * np.ldexp(1.0, -e_row)[:, :, None]
+        shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
+        clicked, silent = tuple(range(u.shape[1])), ()
     masks, signs = _subset_masks(u.shape[1], clicked, silent)
-    perms = permanent_batch(_subset_stack(u, masks) * s[:, None])
-    return _real_part((perms * signs).sum(axis=-1), "detection probability")
-
-
-def _subset_stack(u: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """H_T = U^dagger diag(m_T) U for every indicator row m_T, from `u`
-    (p, n_rows, n) and `masks` (k, n_rows): (p, k, n, n)."""
-    return (u.conj().transpose(0, 2, 1)[:, None] * masks[:, None, :]) @ u[:, None]
-
-
-def _doubled_subset_sums(
-    u: np.ndarray, s: np.ndarray, clicked: tuple[int, ...], silent: tuple[int, ...], w1, w2
-) -> np.ndarray:
-    """`_clicked_subset_sums` of each of p photon sets, summed over their
-    doublings (a second photon in a photon's mode and state) with the
-    weights of `permanent_mixture_batch`, shape (p,). One H_T stack on the
-    base photons serves every doubling. The free rows stay in every term;
-    the purifier's undoubled term has a closed form in `protocol`."""
-    masks, signs = _subset_masks(u.shape[1], clicked, silent)
-    perms = permanent_mixture_batch(_subset_stack(u, masks) * s[:, None], w1, w2)
-    return _real_part((perms * signs).sum(axis=-1), "detection probability")
+    h = (u.conj().transpose(0, 2, 1)[:, None] * masks[:, None, :]) @ u[:, None] * s[:, None]
+    perms = permanent_batch(h) if weights is None else permanent_mixture_batch(h, *weights)
+    return np.ldexp(_real_part((perms * signs).sum(axis=-1), "detection probability"), shift)
 
 
 def _input_norm(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -338,7 +317,7 @@ def multipermanent_batch(bs: np.ndarray, ss: np.ndarray) -> np.ndarray:
         raise ValueError("expected a stack of square matrices")
     if ss.shape != bs.shape:
         raise ValueError("Gram stack must match matrix stack")
-    return _filled_subset_sums(bs, ss)
+    return _clicked_subset_sums(bs, ss, tuple(range(bs.shape[-1])))
 
 
 def multipermanent(b: np.ndarray, s) -> float:

@@ -52,7 +52,6 @@ from .permanents import (
     DistinguishabilityMatrix,
     _as_gram,
     _clicked_subset_sums,
-    _doubled_subset_sums,
     _effective_gram,
     _input_norm,
     _real_part,
@@ -284,7 +283,7 @@ def _mixture_probabilities(
     photons of |U[reached, mode]|^2 in `ref`: one heralded route per
     photon, and every route gives the same K. The rest is one evaluation
     of Ryser's formula with multiplicities on the base photons of both
-    circuits (`permanents._doubled_subset_sums`).
+    circuits (`permanents._clicked_subset_sums` with the emission weights).
     """
     if len(s) == 2:
         modes, pattern, reached = RAW_INPUT_MODES, COINCIDENCE_PATTERN, (2, 3)
@@ -294,8 +293,9 @@ def _mixture_probabilities(
     p_ref = norm * float(np.prod(np.abs(circuits[1].matrix[reached, modes]) ** 2))
     singles = np.array([p_ref * (1.0 - _hom(r_final, w)) / 2.0, p_ref])
     u_in = np.stack([circuit.matrix[:, modes] for circuit in circuits])
-    doubled = _doubled_subset_sums(
-        u_in, s[None], pattern.clicked_modes, pattern.silent_modes, 1.0 - p2, p2 / 2.0
+    doubled = _clicked_subset_sums(
+        u_in, s[None], pattern.clicked_modes, pattern.silent_modes,
+        weights=(1.0 - p2, p2 / 2.0),
     )
     p_out, p_ref = (1.0 - p2) ** len(modes) * singles + doubled
     return float(p_out), float(p_ref)
@@ -305,12 +305,6 @@ def _raw_gram(s4: np.ndarray) -> np.ndarray:
     """Gram matrix of the raw test's photons: entries 0 and 3 of the
     four-photon one, with a unit diagonal."""
     return np.array([[1.0, s4[0, 3]], [s4[3, 0], 1.0]], dtype=complex)
-
-
-def _circuits(config: NoiseConfig) -> tuple[TransferMatrix, TransferMatrix]:
-    return purifier_circuits(
-        config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
-    )
 
 
 def _visibilities(grams, config: NoiseConfig) -> list[float]:
@@ -323,7 +317,9 @@ def _visibilities(grams, config: NoiseConfig) -> list[float]:
         if not _heralds(config):
             raise ValueError(_DEGENERATE)
         return [_hom(config.r_final, w) for w, _ in _heralded_overlaps(grams)]
-    circuits = _circuits(config)
+    circuits = purifier_circuits(
+        config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
+    )
     visibilities = []
     for s in grams:
         p_out, p_ref = _mixture_probabilities(circuits, s, config.r_final, p2)

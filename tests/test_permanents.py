@@ -66,11 +66,11 @@ def test_permanent_against_independent_sum():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     ref = permanent_perm_sum(a)
-    assert permanent(a) == pytest.approx(ref, rel=1e-12)
+    assert permanent(a) == pytest.approx(ref, rel=1e-12, abs=0)
     # n = 12 walks the subset table in column blocks
     a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     ref = batch_permanent_ryser(a[None])[0]
-    assert permanent(a) == pytest.approx(ref, rel=1e-10)
+    assert permanent(a) == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def test_permanent_batch_matches_per_matrix_sum():
@@ -91,9 +91,9 @@ def test_permanent_blocked_branch_closed_forms():
     rng = np.random.default_rng(13)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n), rel=1e-12)
+    assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n), rel=1e-12, abs=0)
     want = math.factorial(n) * np.prod(x) * np.prod(y)
-    assert permanent(np.outer(x, y)) == pytest.approx(want, rel=1e-12)
+    assert permanent(np.outer(x, y)) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def doubled(a, m):
@@ -174,7 +174,7 @@ def test_multipermanent_all_ones_reduction():
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         ones = np.ones((n, n), dtype=complex)
         val = multipermanent(b, ones)
-        assert val == pytest.approx(abs(permanent_perm_sum(b)) ** 2, rel=1e-10)
+        assert val == pytest.approx(abs(permanent_perm_sum(b)) ** 2, rel=1e-10, abs=0)
 
 
 def test_multipermanent_identity_reduction():
@@ -183,7 +183,7 @@ def test_multipermanent_identity_reduction():
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         val = multipermanent(b, np.eye(n))
         ref = permanent_perm_sum(np.abs(b) ** 2).real
-        assert val == pytest.approx(ref, rel=1e-10)
+        assert val == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def test_multipermanent_hom_coincidence():
@@ -201,21 +201,29 @@ def test_multipermanent_kernels_agree():
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         s = random_gram(n, rng)
         ref = double_permutation_multipermanent(b.T, s).real
-        assert multipermanent(b, s) == pytest.approx(ref, rel=1e-11)
+        assert multipermanent(b, s) == pytest.approx(ref, rel=1e-11, abs=0)
 
 
-def test_multipermanent_dark_row_scales_exactly():
-    """Perm(W) is linear in |B[j, k]|**2 along each output slot j, so one
-    row of `b` scaled by 1e-100 scales it by 1e-200. The power-of-two
-    rescaling of rows and photons keeps such a row out of the terms'
-    rounding."""
+@pytest.mark.parametrize("scale", [1e-100, 1e-125, 1e-140, 1e-150, 1e-170])
+@pytest.mark.parametrize("axis", ["row", "photon"])
+def test_multipermanent_dark_row_scales_exactly(axis, scale):
+    """Perm(W) is linear in |B[j, k]|**2 along each output slot j and each
+    photon k, so one row or column of `b` scaled by x scales it by x**2.
+    The power-of-two rescaling of rows and photons keeps such a row or
+    photon out of the terms' rounding, also below the underflow of
+    |B[j, k]|**2 (about 1e-154); there a second row or photon, scaled by
+    1e-150 / x, keeps Perm(W) a normal float."""
     rng = np.random.default_rng(9)
     for n in (2, 3, 4, 5):
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         s = random_gram(n, rng)
-        dark = b.copy()
-        dark[rng.integers(n)] *= 1e-100
-        want = 1e-200 * multipermanent(b, s)
+        factors = np.ones(n)
+        k = rng.integers(n)
+        factors[k] = scale
+        if scale < 1e-154:
+            factors[(k + 1) % n] = 1e-150 / scale
+        dark = b * (factors[:, None] if axis == "row" else factors)
+        want = np.prod(factors) ** 2 * multipermanent(b, s)
         assert multipermanent(dark, s) == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -228,7 +236,7 @@ def test_multipermanent_relabeling_invariance():
     perm = rng.permutation(n)
     b_rel = b[:, perm]
     s_rel = s[np.ix_(perm, perm)]
-    assert multipermanent(b_rel, s_rel) == pytest.approx(base, rel=1e-10)
+    assert multipermanent(b_rel, s_rel) == pytest.approx(base, rel=1e-10, abs=0)
 
 
 def test_multipermanent_real_and_nonnegative_for_valid_gram():
@@ -246,7 +254,7 @@ def test_multipermanent_batch_matches_scalar():
     ss = np.stack([random_gram(3, rng) for _ in range(6)])
     batch = multipermanent_batch(bs, ss)
     for i in range(6):
-        assert batch[i] == pytest.approx(multipermanent(bs[i], ss[i]), rel=1e-11)
+        assert batch[i] == pytest.approx(multipermanent(bs[i], ss[i]), rel=1e-11, abs=0)
 
 
 def test_output_probability_identity_and_hom():
@@ -334,8 +342,8 @@ def test_permanent_invariant_under_repetition_reordering():
     base = permanent(b)
     b_cols = b[:, [1, 0, 2, 3]]   # swap the two copies of input mode 0
     b_rows = b[[0, 2, 1, 3], :]   # swap the two copies of output mode 1
-    assert permanent(b_cols) == pytest.approx(base, rel=1e-12)
-    assert permanent(b_rows) == pytest.approx(base, rel=1e-12)
+    assert permanent(b_cols) == pytest.approx(base, rel=1e-12, abs=0)
+    assert permanent(b_rows) == pytest.approx(base, rel=1e-12, abs=0)
 
 
 def test_output_probability_errors():
