@@ -6,10 +6,8 @@ from .circuits import (
     beamsplitter,
     purifier_circuits,
     purifier_pair_circuit,
-    reference_circuit,
-    with_loss,
 )
-from .dephasing import OverlapMoments, estimate_overlap_moments, pd_coincidence, pd_moments, pd_purified
+from .dephasing import OverlapMoments, pd_coincidence, pd_moments, pd_purified
 from .distinguishability import (
     DephasingParams,
     PolarizationState,
@@ -32,7 +30,6 @@ from .histogram_fit import (
 from .permanents import (
     DistinguishabilityMatrix,
     multipermanent,
-    multipermanent_batch,
     output_probability,
     permanent,
     permanent_batch,

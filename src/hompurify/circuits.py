@@ -1,5 +1,5 @@
-"""Linear-optical transfer matrices: beamsplitters, the two-copy purifier,
-its no-interference reference, and loss via unitary dilation.
+"""Linear-optical transfer matrices: beamsplitters, the two-copy purifier
+and its no-interference reference, with loss via unitary dilation.
 
 Convention: matrices act in the applied sense, column q holds the output
 amplitudes of a single photon entering mode q, so `purifier_circuits`
@@ -90,21 +90,21 @@ def beamsplitter(reflectivity: float, modes: tuple[int, int], total_modes: int) 
     return TransferMatrix(beamsplitter_matrix(reflectivity, modes, total_modes))
 
 
-def _loss_couplers(transmissions, n_physical: int, n_modes: int) -> np.ndarray | None:
-    """Couplers of reflectivity 1 - transmission from each lossy physical
-    mode to a vacuum ancilla numbered from `n_modes` on; None if no loss."""
+def _loss_couplers(transmissions) -> np.ndarray | None:
+    """Couplers of reflectivity 1 - transmission from each lossy purifier
+    mode to a vacuum ancilla numbered from 6 on; None if no loss."""
     transmissions = [float(x) for x in transmissions]
-    if len(transmissions) != n_physical:
+    if len(transmissions) != 6:
         raise ValueError("one transmission per physical mode required")
     if any(not 0.0 <= x <= 1.0 for x in transmissions):
         raise ValueError("transmissions must be in [0, 1]")
     lossy = [i for i, x in enumerate(transmissions) if x < 1.0 - 1e-15]
     if not lossy:
         return None
-    total = n_modes + len(lossy)
+    total = 6 + len(lossy)
     loss = np.eye(total, dtype=complex)
     for a, i in enumerate(lossy):
-        loss = beamsplitter_matrix(1.0 - transmissions[i], (i, n_modes + a), total) @ loss
+        loss = beamsplitter_matrix(1.0 - transmissions[i], (i, 6 + a), total) @ loss
     return loss
 
 
@@ -118,7 +118,7 @@ def purifier_circuits(
     inputs or after the first couplers (`loss_stage`)."""
     if loss_stage not in LOSS_STAGES:
         raise ValueError(f"loss_stage must be one of {LOSS_STAGES}")
-    loss = None if transmissions is None else _loss_couplers(transmissions, 6, 6)
+    loss = None if transmissions is None else _loss_couplers(transmissions)
     n = 6 if loss is None else loss.shape[0]
     first = beamsplitter_matrix(r1, (0, 1), n) @ beamsplitter_matrix(r1, (4, 5), n)
     second = beamsplitter_matrix(r2, (1, 2), n) @ beamsplitter_matrix(r2, (3, 4), n)
@@ -135,20 +135,3 @@ def purifier_pair_circuit(r1: float, r2: float, r_final: float) -> TransferMatri
     """Two copies of the bunch-and-split purifier whose outputs meet at a
     final beamsplitter on modes (2, 3)."""
     return purifier_circuits(r1, r2, r_final)[0]
-
-
-def reference_circuit(r1: float, r2: float) -> TransferMatrix:
-    """Purifier pair with the final coupler replaced by an identity, so the
-    purified photons reach their detectors without interfering."""
-    return purifier_circuits(r1, r2, 0.0)[1]
-
-
-def with_loss(t: TransferMatrix, transmissions) -> TransferMatrix:
-    """`t` after input loss: one vacuum ancilla per lossy physical mode
-    (`loss_modes`), over whose occupations outcomes are summed."""
-    loss = _loss_couplers(transmissions, t.n_physical, t.n_modes)
-    if loss is None:
-        return t
-    padded = np.eye(loss.shape[0], dtype=complex)
-    padded[: t.n_modes, : t.n_modes] = t.matrix
-    return TransferMatrix(padded @ loss, n_physical=t.n_physical)

@@ -1,17 +1,18 @@
 """Closed-form pure-dephasing model of the two-copy purifier.
 
 The heralded coincidence at the final coupler depends not only on pairwise
-wavepacket overlaps but on three- and four-photon overlap cycles. With
+wavepacket overlaps but on three- and four-photon overlap cycles,
 
-    p = <|a_ij|^2>,  T = <a_ij a_jk a_ki>,  Q = <a_ij a_jk a_kl a_li>
+    p = <|a_ij|^2>,  T = <a_ij a_jk a_ki>,  Q = <a_ij a_jk a_kl a_li>.
 
-the conditional coincidence probability is
+Each copy heralds the internal state (rho + rho^2) / (1 + p), and the
+indistinguishability of two such photons is
 
-    P = (1 + p + p^2 - 2 T - Q) / (2 (1 + p)^2)
+    W = (p + 2 T + Q) / (1 + p)^2,
 
-and the purified indistinguishability is 1 - 2 P. For Wiener phase noise
-of variance 2 gamma_d t on each wavepacket the cycle moments close, giving
-the rational form implemented by `pd_purified`.
+so the conditional coincidence probability is (1 - W) / 2. For Wiener
+phase noise of variance 2 gamma_d t on each wavepacket the cycle moments
+close (`pd_moments`), and `pd_purified` is W at those moments.
 """
 
 from __future__ import annotations
@@ -37,14 +38,20 @@ class OverlapMoments:
             raise ValueError("cycle moments must lie in [-1, 1]")
 
 
+def _purified_overlap(moments: OverlapMoments) -> float:
+    """W = (p + 2 T + Q) / (1 + p)^2 of two heralded photons."""
+    p = moments.pair
+    return (p + 2.0 * moments.triple + moments.quad) / (1.0 + p) ** 2
+
+
 def pd_coincidence(moments: OverlapMoments) -> float:
-    """Conditional coincidence probability of the two purified photons.
+    """Conditional coincidence probability (1 - W) / 2 of the two purified
+    photons.
 
     Ranges from 0 (perfect photons) to 1/2 (fully dephased); values outside
     [0, 1/2] signal inconsistent moments.
     """
-    p, t, q = moments.pair, moments.triple, moments.quad
-    val = (1.0 + p + p * p - 2.0 * t - q) / (2.0 * (1.0 + p) ** 2)
+    val = (1.0 - _purified_overlap(moments)) / 2.0
     if val < -1e-9 or val > 0.5 + 1e-9:
         raise ValueError(f"coincidence probability {val} outside [0, 1/2]")
     return float(min(max(val, 0.0), 0.5))
@@ -62,19 +69,11 @@ def pd_moments(x: float) -> OverlapMoments:
 
 
 def pd_purified(x: float) -> float:
-    """Purified indistinguishability under pure dephasing of strength
-    x = 2 gamma_d / gamma (raw pairwise indistinguishability 1 / (1 + x)):
-
-        (x^3 + 10 x^2 + 32 x + 24) / ((3 + x) (2 + x)^3)
-
-    This is 1 - 2 * pd_coincidence at the exact Wiener moments; it equals 1
-    at x = 0 and decays like 1/x.
+    """Purified indistinguishability W under pure dephasing of strength
+    x = 2 gamma_d / gamma (raw pairwise indistinguishability 1 / (1 + x)),
+    at the exact Wiener moments; it equals 1 at x = 0 and decays like 1/x.
     """
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"x must be a finite number >= 0, got {x!r}")
-    return float(
-        (x**3 + 10.0 * x**2 + 32.0 * x + 24.0) / ((3.0 + x) * (2.0 + x) ** 3)
-    )
+    return float(_purified_overlap(pd_moments(x)))
 
 
 def moment_samples(gram_stack: np.ndarray) -> dict[str, np.ndarray]:
@@ -91,15 +90,3 @@ def moment_samples(gram_stack: np.ndarray) -> dict[str, np.ndarray]:
     if n >= 4:
         out["quad"] = (s[:, 0, 1] * s[:, 1, 2] * s[:, 2, 3] * s[:, 3, 0]).real
     return out
-
-
-def estimate_overlap_moments(gram_stack: np.ndarray) -> OverlapMoments:
-    """Sample-mean overlap moments from Monte Carlo Gram matrices."""
-    samp = moment_samples(gram_stack)
-    if "quad" not in samp:
-        raise ValueError("need at least four photons per sample for all moments")
-    return OverlapMoments(
-        pair=float(samp["pair"].mean()),
-        triple=float(samp["triple"].mean()),
-        quad=float(samp["quad"].mean()),
-    )

@@ -153,11 +153,15 @@ def pure_count_model(t, v_raw, v_pure, geometry: SetupGeometry, counts_meta: Pea
     approximated by the average of the raw and purified values, with an
     explicit correction for the fully-purified sub-case.
     """
-    t = _check_unit("t", t)
-    v_raw = _check_unit("v_raw", v_raw)
-    v_pure = _check_unit("v_pure", v_pure)
+    return _pure_counts(
+        _check_unit("t", t), _check_unit("v_raw", v_raw), _check_unit("v_pure", v_pure),
+        geometry, counts_meta.trials,
+    )
+
+
+def _pure_counts(t, v_raw, v_pure, geometry: SetupGeometry, trials):
+    """`pure_count_model` on inputs already checked to lie in [0, 1]."""
     sub = _sub_probabilities(t, v_raw, geometry)
-    trials = counts_meta.trials
     p_central = t**4 * sub["p_bunch"] ** 2 * sub["p_split"] ** 2 * 0.5 * (1.0 - v_pure)
     p_single = 0.5
     p_split_input = 0.25 * (3.0 - (v_raw + v_pure) / 2.0)
@@ -198,14 +202,16 @@ def _invert(central, side, counts_meta, geometry, v_raw):
             )
         # the central count fixes V = 1 - a / t^4; along that curve the side
         # count rises strictly with t, so bisect on [a^(1/4), 1]
-        a = central / pure_count_model(1.0, v_raw, 0.0, geometry, counts_meta)[0]
+        # t, V stay in [0, 1] below, so v_raw is the one input to check
+        v_raw = _check_unit("v_raw", v_raw)
+        a = central / _pure_counts(1.0, v_raw, 0.0, geometry, trials)[0]
 
         def side_at(t):
             v = np.clip(1.0 - a / t**4, 0.0, 1.0)
-            return v, pure_count_model(t, v_raw, v, geometry, counts_meta)[1]
+            return v, _pure_counts(t, v_raw, v, geometry, trials)[1]
 
         lo = np.minimum(a**0.25, 1.0)
-        side_v0 = pure_count_model(lo, v_raw, 0.0, geometry, counts_meta)[1]
+        side_v0 = _pure_counts(lo, v_raw, 0.0, geometry, trials)[1]
         failed = np.select(
             [~np.isfinite(a), side <= 0, (a > 1) | (side_v0 > side), side_at(1.0)[1] < side],
             ["real root", "t > 0", "V >= 0", "t <= 1"],

@@ -207,11 +207,6 @@ class DistinguishabilityMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def restrict(self, assignment: AssignmentList) -> np.ndarray:
-        """Effective per-photon overlap matrix for an assignment list;
-        repeated labels mean identical photons."""
-        return _effective_gram(self.entries, len(assignment), assignment)
-
     def __eq__(self, other):
         return isinstance(other, DistinguishabilityMatrix) and np.array_equal(
             self.entries, other.entries
@@ -302,34 +297,18 @@ def _input_norm(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _real_part(permanent_batch(same_mode * s), "input-state norm")
 
 
-def multipermanent_batch(bs: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """Multipermanents of a stack of equal-size submatrices.
-
-    `bs` holds submatrices in the fock.submatrix orientation (rows = output
-    slots, columns = input photons); `ss` the matching effective Gram
-    matrices. Each is the all-clicked inclusion-exclusion sum with every
-    output slot a clicked row (see the module docstring). Returns real
-    values after checking the imaginary residue.
-    """
-    bs = np.asarray(bs, dtype=complex)
-    ss = np.asarray(ss, dtype=complex)
-    if bs.ndim != 3 or bs.shape[1] != bs.shape[2]:
-        raise ValueError("expected a stack of square matrices")
-    if ss.shape != bs.shape:
-        raise ValueError("Gram stack must match matrix stack")
-    return _clicked_subset_sums(bs, ss, tuple(range(bs.shape[-1])))
-
-
 def multipermanent(b: np.ndarray, s) -> float:
-    """Perm(W) for one submatrix `b` (fock.submatrix orientation) and one
-    effective Gram matrix `s` of the participating photons."""
+    """Perm(W) for one submatrix `b` (fock.submatrix orientation: rows =
+    output slots, columns = input photons) and one effective Gram matrix
+    `s` of the participating photons: the inclusion-exclusion sum with
+    every output slot a clicked row (see the module docstring)."""
     b = _square(b)
     s_arr = _as_gram(s)
     if s_arr.shape != b.shape:
         raise ValueError(
             f"Gram matrix shape {s_arr.shape} does not match submatrix {b.shape}"
         )
-    return float(multipermanent_batch(b[None], s_arr[None])[0])
+    return float(_clicked_subset_sums(b[None], s_arr[None], tuple(range(b.shape[0])))[0])
 
 
 def _effective_gram(s, n: int, assignment: AssignmentList | None = None) -> np.ndarray:

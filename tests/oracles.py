@@ -8,7 +8,11 @@ package; they check its closed-form inversion. The expanded emission
 mixture shares the signature-probability path with the package; it checks
 Ryser's formula with multiplicities, which replaced that expansion. The
 complex-exponential dephasing sampler is the package's earlier sampler,
-kept to pin the real cos/sin accumulation that replaced it.
+kept to pin the real cos/sin accumulation that replaced it. The rational
+pure-dephasing form is the package's earlier `pd_purified`, kept to pin
+the moment formula that replaced it. `lossy_circuit` is a test fixture
+builder, not an oracle: it dilates random circuits with the package's own
+couplers.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from hompurify import FockState, pure_count_model, raw_count_model, signature_probability
+from hompurify.circuits import TransferMatrix, beamsplitter_matrix
 
 
 def gram_to_state_vectors(s: np.ndarray) -> np.ndarray:
@@ -196,6 +201,23 @@ def double_permutation_multipermanent(a_photon_major: np.ndarray, s: np.ndarray)
                 term *= a[sg[j], j] * np.conj(a[rh[j], j]) * s[rh[j], sg[j]]
             total += term
     return total
+
+
+def lossy_circuit(matrix, transmissions) -> TransferMatrix:
+    """The unitary `matrix` after input loss: a coupler of reflectivity
+    1 - transmission from each lossy mode to its own vacuum ancilla,
+    numbered after the physical modes."""
+    n = len(matrix)
+    lossy = [i for i, x in enumerate(transmissions) if x < 1.0 - 1e-15]
+    if not lossy:
+        return TransferMatrix(matrix)
+    total = n + len(lossy)
+    loss = np.eye(total, dtype=complex)
+    for a, i in enumerate(lossy):
+        loss = beamsplitter_matrix(1.0 - transmissions[i], (i, n + a), total) @ loss
+    padded = np.eye(total, dtype=complex)
+    padded[:n, :n] = matrix
+    return TransferMatrix(padded @ loss, n_physical=n)
 
 
 # The canonical purifier transfer matrix, prefactor 1 / (2 sqrt 2),
@@ -409,6 +431,12 @@ def fit_joint(raw_counts, pure_counts, raw_geometry, pure_geometry, grid=7, refi
     if not best.success:
         raise RuntimeError("joint fit did not converge")
     return float(best.x[0]), float(best.x[1]), float(best.x[2])
+
+
+def pd_purified_rational(x: float) -> float:
+    """Purified indistinguishability under Wiener dephasing of strength x,
+    as the rational function the exact overlap-cycle moments reduce to."""
+    return (x**3 + 10.0 * x**2 + 32.0 * x + 24.0) / ((3.0 + x) * (2.0 + x) ** 3)
 
 
 def complex_dephased_overlaps(

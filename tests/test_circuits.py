@@ -10,8 +10,6 @@ from hompurify import (
     output_probability,
     purifier_circuits,
     purifier_pair_circuit,
-    reference_circuit,
-    with_loss,
 )
 from hompurify.circuits import beamsplitter_matrix
 
@@ -43,11 +41,11 @@ def test_transfer_matrix_requires_unitarity():
 
 @pytest.mark.parametrize("r1,r2,rf", [(0.5, 0.5, 0.5), (0.3, 0.6, 0.45), (0.7, 0.2, 0.9)])
 def test_constructions_are_unitary(r1, r2, rf):
-    for tm in (purifier_pair_circuit(r1, r2, rf), reference_circuit(r1, r2)):
+    for tm in purifier_circuits(r1, r2, rf):
         assert np.allclose(tm.matrix @ tm.matrix.conj().T, np.eye(6), atol=1e-10)
-    dilated = with_loss(purifier_pair_circuit(r1, r2, rf), [0.8, 1, 0.6, 1, 1, 0.9])
-    m = dilated.matrix
-    assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-10)
+    for tm in purifier_circuits(r1, r2, rf, [0.8, 1, 0.6, 1, 1, 0.9]):
+        m = tm.matrix
+        assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-10)
 
 
 def test_purifier_reproduces_literal_matrix():
@@ -73,12 +71,12 @@ def test_purifier_probability_matches_literal_matrix():
 
 def test_purifier_with_open_final_equals_reference():
     assert np.array_equal(
-        purifier_pair_circuit(0.5, 0.5, 0.0).matrix, reference_circuit(0.5, 0.5).matrix
+        purifier_pair_circuit(0.5, 0.5, 0.0).matrix, purifier_circuits(0.5, 0.5, 0.5)[1].matrix
     )
 
 
 def test_reference_is_block_diagonal():
-    m = reference_circuit(0.5, 0.5).matrix
+    m = purifier_circuits(0.5, 0.5, 0.5)[1].matrix
     assert np.allclose(m[:3, 3:], 0.0)
     assert np.allclose(m[3:, :3], 0.0)
 
@@ -87,29 +85,28 @@ def test_single_photon_path_tracing():
     # input mode 0 reaches mode 2 through both couplers: amplitude
     # (i sqrt(r1))(i sqrt(r2)) = -sqrt(r1 r2)
     for r1, r2 in [(0.5, 0.5), (0.3, 0.7)]:
-        m = reference_circuit(r1, r2).matrix
+        m = purifier_circuits(r1, r2, 0.5)[1].matrix
         assert m[2, 0] == pytest.approx(-np.sqrt(r1 * r2))
         assert m[3, 5] == pytest.approx(-np.sqrt(r1 * r2))
         assert abs(m[2, 0]) ** 2 == pytest.approx(r1 * r2)
 
 
 def test_with_loss_trivial_and_single_mode():
-    tm = purifier_pair_circuit(0.5, 0.5, 0.5)
-    assert with_loss(tm, [1.0] * 6) is tm
-    ident = TransferMatrix(np.eye(1))
-    lossy = with_loss(ident, [0.7])
-    assert lossy.n_physical == 1
-    assert lossy.loss_modes == (1,)
-    # survival probability equals the transmission
+    # unit transmissions add no ancilla
+    out, _ = purifier_circuits(0.5, 0.5, 0.5, [1.0] * 6)
+    assert np.array_equal(out.matrix, purifier_pair_circuit(0.5, 0.5, 0.5).matrix)
+    # open couplers: a photon entering mode 0 survives with its transmission
+    lossy, _ = purifier_circuits(0.0, 0.0, 0.0, [0.7] + [1.0] * 5)
+    assert lossy.n_physical == 6
+    assert lossy.loss_modes == (6,)
     assert abs(lossy.matrix[0, 0]) ** 2 == pytest.approx(0.7)
 
 
 def test_with_loss_validation():
-    tm = purifier_pair_circuit(0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        with_loss(tm, [0.5] * 5)
-    with pytest.raises(ValueError):
-        with_loss(tm, [1.2] + [1.0] * 5)
+    with pytest.raises(ValueError, match="one transmission per physical mode"):
+        purifier_circuits(0.5, 0.5, 0.5, [0.5] * 5)
+    with pytest.raises(ValueError, match="transmissions must be in"):
+        purifier_circuits(0.5, 0.5, 0.5, [1.2] + [1.0] * 5)
 
 
 def test_transfer_matrix_derives_loss_modes():
@@ -166,5 +163,5 @@ def test_purifier_circuits_match_explicit_product(r1, r2, r_final, transmissions
         assert np.abs(m @ m.conj().T - np.eye(len(m))).max() <= 1e-12
         assert np.abs(m - want).max() <= 1e-15
     assert np.array_equal(
-        purifier_pair_circuit(r1, r2, 0.0).matrix, reference_circuit(r1, r2).matrix
+        purifier_pair_circuit(r1, r2, 0.0).matrix, purifier_circuits(r1, r2, r_final)[1].matrix
     )

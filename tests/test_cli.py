@@ -52,6 +52,14 @@ def test_simulate_basic(tmp_path, capsys):
     assert float(ideal[4]) == pytest.approx(0.0)
     no_etalon = rows[1]
     assert float(no_etalon[3]) == pytest.approx(0.6488, abs=2e-3)
+    # the dephasing row is the package's one closed form, to the last bit
+    out_json = tmp_path / "rows.json"
+    code, _, err = run_cli(
+        capsys, "simulate", "--config", config, "--out", str(out_json), "--format", "json"
+    )
+    assert code == 0, err
+    pd_row = json.loads(out_json.read_text())["rows"][2]
+    assert pd_row["v_pure"] == hompurify.pd_purified(0.2)
 
 
 def test_simulate_missing_model_field(tmp_path, capsys):
@@ -137,6 +145,11 @@ def test_sweep_raw_visibility_models(tmp_path, capsys):
         # the two zero-g2 theory curves stay close; extra emissions only degrade
         assert abs(float(row[1]) - float(row[2])) < 0.03
         assert float(row[3]) < float(row[1])
+    code, out, _ = run_cli(capsys, "sweep", "--config", config, "--out", "-", "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        x = 1.0 / row["v_raw"] - 1.0
+        assert row["v_pure_pure_dephasing"] == hompurify.pd_purified(x)
 
 
 def test_sweep_unknown_kind(tmp_path, capsys):
@@ -374,15 +387,19 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_mc_dephasing_reports(tmp_path, capsys):
+    report = tmp_path / "mc.json"
     code, out, _ = run_cli(
         capsys, "mc-dephasing", "--x", "0.2", "--samples", "400", "--seed", "5",
         "--photons", "4", "--dt", "0.02", "--horizon", "12",
+        "--out", str(report), "--format", "json",
     )
     assert code == 0
     values = dict(line.split(" = ") for line in out.strip().splitlines())
     assert float(values["pair_analytic"]) == pytest.approx(1 / 1.2)
     assert float(values["pair_mc"]) == pytest.approx(1 / 1.2, abs=0.02)
     assert float(values["purified_closed_form"]) == pytest.approx(0.904158, abs=1e-5)
+    row = json.loads(report.read_text())["rows"][0]
+    assert row["purified_closed_form"] == hompurify.pd_purified(0.2)
 
 
 def test_mc_dephasing_requires_seed(capsys):

@@ -4,13 +4,14 @@ import pytest
 from hompurify import (
     DephasingParams,
     OverlapMoments,
-    estimate_overlap_moments,
     pd_coincidence,
     pd_moments,
     pd_purified,
     sample_dephased_overlaps,
 )
 from hompurify.dephasing import moment_samples
+
+from oracles import pd_purified_rational
 
 
 def test_moments_validation():
@@ -43,11 +44,12 @@ def test_purified_closed_form_limits():
 
 
 def test_purified_closed_form_value_small_x():
-    # x = 1/9 (raw indistinguishability 0.9): independent polynomial evaluation
-    x = 1.0 / 9.0
-    expected = (x**3 + 10 * x**2 + 32 * x + 24) / ((3 + x) * (2 + x) ** 3)
-    assert pd_purified(x) == pytest.approx(expected, rel=1e-15)
-    assert pd_purified(x) == pytest.approx(0.9456, abs=5e-4)
+    # the moment formula against the independent rational form, from small
+    # x up to the 1/x tail
+    for x in [*np.linspace(0.0, 10.0, 201), 1e3, 1e4, 1e5, 1e6]:
+        assert pd_purified(float(x)) == pytest.approx(pd_purified_rational(x), rel=1e-15, abs=0)
+    # x = 1/9: raw indistinguishability 0.9
+    assert pd_purified(1.0 / 9.0) == pytest.approx(0.9456, abs=5e-4)
 
 
 def test_purified_strictly_decreasing_and_above_pairwise():
@@ -58,9 +60,11 @@ def test_purified_strictly_decreasing_and_above_pairwise():
 
 
 def test_purified_asymptotic_decay():
-    # decays like 1/x: x * pd_purified(x) -> 1 from below at large x
+    # decays like 1/x: x * pd_purified(x) -> 1 from above at large x, since
+    # x V - 1 = (x^3 + 2 x^2 - 20 x - 24) / ((3 + x) (2 + x)^3) > 0 for x >= 5
     for x in (1e3, 1e4, 1e5):
         assert x * pd_purified(x) == pytest.approx(1.0, rel=0.02)
+        assert x * pd_purified(x) > 1.0
     assert pd_purified(1e6) < 1e-5
 
 
@@ -80,16 +84,6 @@ def test_exact_moments_against_monte_carlo():
         arr = samp[name]
         se = arr.std(ddof=1) / np.sqrt(arr.size)
         assert abs(arr.mean() - value) <= 3.5 * se, name
-
-
-def test_estimate_overlap_moments():
-    grams = sample_dephased_overlaps(DephasingParams.from_x(0.1), 4, 500, seed=2)
-    m = estimate_overlap_moments(grams)
-    assert 0.8 < m.pair <= 1.0
-    assert 0.8 < m.triple <= 1.0
-    assert 0.8 < m.quad <= 1.0
-    with pytest.raises(ValueError):
-        estimate_overlap_moments(grams[:, :3, :3])
 
 
 def test_pd_curve_tracks_constant_overlap_curve():

@@ -1,5 +1,4 @@
 import importlib
-import inspect
 import itertools
 import math
 
@@ -16,7 +15,6 @@ from hompurify import (
     constant_overlap_S,
     enumerate_outputs,
     multipermanent,
-    multipermanent_batch,
     output_probability,
     permanent,
     permanent_batch,
@@ -160,14 +158,6 @@ def test_gram_matrix_validation():
     assert s.n == 3
 
 
-def test_gram_restrict_repeats_labels():
-    s = constant_overlap_S(2, 0.3)
-    eff = s.restrict(AssignmentList((0, 0, 1)))
-    assert eff.shape == (3, 3)
-    assert eff[0, 1] == 1.0  # same photon label
-    assert eff[0, 2] == pytest.approx(0.3)
-
-
 def test_multipermanent_all_ones_reduction():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
@@ -248,15 +238,6 @@ def test_multipermanent_real_and_nonnegative_for_valid_gram():
         assert val >= -1e-10
 
 
-def test_multipermanent_batch_matches_scalar():
-    rng = np.random.default_rng(8)
-    bs = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
-    ss = np.stack([random_gram(3, rng) for _ in range(6)])
-    batch = multipermanent_batch(bs, ss)
-    for i in range(6):
-        assert batch[i] == pytest.approx(multipermanent(bs[i], ss[i]), rel=1e-11, abs=0)
-
-
 def test_output_probability_identity_and_hom():
     assert output_probability(np.eye(2), FockState((1, 0)), FockState((1, 0)), np.eye(1)) == 1.0
     bs = beamsplitter(0.5, (0, 1), 2)
@@ -325,12 +306,10 @@ def test_output_probability_distinct_states_sharing_a_mode():
 
 
 def test_traced_modules_and_multipermanent_signature():
-    """bench/tracing.py imports these modules by name and reads the stack
-    argument of `multipermanent_batch` as `bs`."""
+    """bench/tracing.py imports these modules by name."""
     for name in ("fock", "permanents", "circuits", "distinguishability", "dephasing",
                  "protocol", "histogram_fit", "cli"):
         importlib.import_module(f"hompurify.{name}")
-    assert list(inspect.signature(permanents.multipermanent_batch).parameters) == ["bs", "ss"]
 
 
 def test_permanent_invariant_under_repetition_reordering():

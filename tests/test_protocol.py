@@ -23,11 +23,10 @@ from hompurify import (
     purified_visibility,
     purifier_circuits,
     purifier_pair_circuit,
-    reference_circuit,
     signature_probability,
     success_probability,
 )
-from hompurify.circuits import TransferMatrix, with_loss
+from hompurify.circuits import TransferMatrix
 from hompurify.protocol import (
     COINCIDENCE_PATTERN,
     HERALDED_PATTERN,
@@ -40,6 +39,7 @@ from oracles import (
     double_permutation_multipermanent,
     expanded_mixture_probability,
     fock_polynomial_probabilities,
+    lossy_circuit,
     patterns_for_clicks,
 )
 
@@ -76,7 +76,7 @@ def random_setups(draw, max_photons):
     transmissions = [1.0] * n_modes
     for mode in draw(st.sets(st.integers(0, n_modes - 1), max_size=3)):
         transmissions[mode] = draw(st.floats(0.3, 1.0))
-    circuit = with_loss(TransferMatrix(haar_unitary(n_modes, rng)), transmissions)
+    circuit = lossy_circuit(haar_unitary(n_modes, rng), transmissions)
     modes = sorted(draw(st.lists(st.integers(0, n_modes - 1),
                                  min_size=n_photons, max_size=n_photons)))
     occupations = [modes.count(m) for m in range(n_modes)]
@@ -128,8 +128,7 @@ def test_purifier_distinguishable_photons():
     """Fully distinguishable photons: brute-force double-permutation sum
     confirms P_out / P_ref = 1/2, i.e. the purified photons share nothing
     (visibility 0 in the side-peak normalization)."""
-    out = purifier_pair_circuit(0.5, 0.5, 0.5)
-    ref = reference_circuit(0.5, 0.5)
+    out, ref = purifier_circuits(0.5, 0.5, 0.5)
     inp = FockState((1, 1, 0, 0, 1, 1))
     target = FockState((0, 1, 1, 1, 1, 0))
     s = np.eye(4, dtype=complex)
@@ -285,7 +284,7 @@ def oracle_visibility(vectors, input_occ, clicked, silent, p2=0.0, circuits=None
     dropping its terms early keeps the expansion small."""
     occupied = [m for m, k in enumerate(input_occ) if k]
     if circuits is None:
-        circuits = (purifier_pair_circuit(0.5, 0.5, 0.5), reference_circuit(0.5, 0.5))
+        circuits = purifier_circuits(0.5, 0.5, 0.5)
 
     def signature(circuit):
         matrix = circuit.matrix.copy()
@@ -677,7 +676,7 @@ def test_signature_probability_matches_fock_expansion(seed):
     transmissions = [1.0] * n_modes
     if seed % 3:
         transmissions[int(rng.integers(n_modes))] = rng.uniform(0.3, 1.0)
-    circuit = with_loss(TransferMatrix(haar_unitary(n_modes, rng)), transmissions)
+    circuit = lossy_circuit(haar_unitary(n_modes, rng), transmissions)
     modes = rng.integers(0, n_modes, n_photons)
     if seed % 2 == 0:
         modes[1] = modes[0]
