@@ -19,6 +19,7 @@ from . import dephasing, distinguishability, histogram_fit, protocol
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+DEFAULT_DEMUX_SPLIT = histogram_fit.SetupGeometry.demux_split
 
 
 class ConfigError(Exception):
@@ -269,6 +270,11 @@ def _overlap(config: dict, context: str, required: bool = False) -> float | None
 
 def cmd_fit(args) -> int:
     _checked(args.demux_split, "--demux-split", _UNIT)
+    if args.mode == "pure" and args.demux_split != DEFAULT_DEMUX_SPLIT:
+        raise ConfigError(
+            f"--demux-split must stay at {DEFAULT_DEMUX_SPLIT} in pure mode, since the "
+            f"purified model has no demultiplexer, got {args.demux_split!r}"
+        )
     _checked(args.split_reflectivity, "--split-reflectivity", _UNIT)
     _checked(args.rate, "--rate", _POSITIVE)
     _checked(args.time, "--time", _POSITIVE)
@@ -395,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--input-kind", choices=["peaks", "histogram"], default="peaks")
     p_fit.add_argument("--rate", type=float, default=10e6, help="repetition rate in Hz")
     p_fit.add_argument("--time", type=float, default=30.0, help="integration time in s")
-    p_fit.add_argument("--demux-split", type=float, default=0.5)
+    p_fit.add_argument("--demux-split", type=float, default=DEFAULT_DEMUX_SPLIT,
+                       help="raw mode only")
     p_fit.add_argument("--split-reflectivity", type=float, default=0.55)
     p_fit.add_argument("--mc-resamples", type=int, default=0)
     add_common(p_fit)

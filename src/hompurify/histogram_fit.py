@@ -4,9 +4,10 @@ The raw and purified interference setups are modeled as explicit
 beamsplitter networks with pairwise-interference bunching rules; central
 and side correlation-peak counts follow from the system efficiency t and
 the visibilities. Fitting inverts (central, side) counts for (t, V)
-exactly, a quadratic in raw mode and a bracketed one-variable root in
-purified mode, and a Poissonian Monte Carlo propagates count noise into
-parameter uncertainties.
+exactly, a quadratic in raw mode and the one root of a closed-form quintic
+in t in purified mode, solved by bracket-safeguarded Newton steps, and a
+Poissonian Monte Carlo propagates count noise into parameter
+uncertainties.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ class PeakCounts:
 class SetupGeometry:
     """Splitting ratios of the measurement network. `split_bs_reflectivity`
     is the fraction continuing toward the final beamsplitter at the
-    second (45:55) splitters; the demultiplexing and final splitters are
-    balanced at `demux_split`."""
+    second (45:55) splitters. `demux_split` is the fraction the raw setup's
+    demultiplexer routes toward its splitter; the purified model has no
+    demultiplexer and does not read it. The final beamsplitters are
+    balanced."""
 
     demux_split: float = 0.5
     split_bs_reflectivity: float = 0.55
@@ -178,9 +181,34 @@ def _pure_counts(t, v_raw, v_pure, geometry: SetupGeometry, trials):
     return trials * p_central, trials * p_1d**2
 
 
+def _side_quintic(a, v_raw, r):
+    """(c5, c4, c3, c1, c0) with t p_1D = c5 t^5 + c4 t^4 + c3 t^3 + c1 t + c0
+    for the purified model along V = 1 - a/t^4, at split reflectivity r;
+    there is no t^2 term. See notes/decisions.md."""
+    rs, w = r * (1.0 - r), 1.0 + v_raw
+    return (
+        rs * r * w**2 * (2.0 * r + 2.0 * v_raw - 1.0) / 64.0,
+        -rs * w * (r * v_raw + 2.0 * r + 2.0) / 16.0,
+        rs * (v_raw + 3.0) / 4.0,
+        a * (rs * w) ** 2 / 32.0,
+        a * rs * r * w / 16.0,
+    )
+
+
+def _p1d_and_slope(t, coeffs):
+    """p_1D and dp_1D/dt at t from `_side_quintic` coefficients."""
+    c5, c4, c3, c1, c0 = coeffs
+    p_1d = ((c5 * t + c4) * t + c3) * t**2 + c1 + c0 / t
+    return p_1d, ((4.0 * c5 * t + 3.0 * c4) * t + 2.0 * c3) * t - c0 / t**2
+
+
 def _invert(central, side, counts_meta, geometry, v_raw):
     """Exact (t, V) for arrays of (central, side) counts.
 
+    Raw mode takes the root of a quadratic. Purified mode runs Newton
+    steps on the side-count polynomial along V = 1 - a/t^4 for all entries
+    at once, each kept inside a bracket that starts at [a^(1/4), 1] and
+    narrows by the sign of the residual, until no step exceeds 16 eps t.
     Returns t, V and, per entry, the first constraint that no solution
     meets ("real root", "t > 0", "t <= 1" or "V >= 0"), or "" where the
     solution lies in (0, 1] x [0, 1]. See notes/decisions.md.
@@ -200,39 +228,47 @@ def _invert(central, side, counts_meta, geometry, v_raw):
                 ["real root", "t > 0", "t <= 1", "V >= 0"],
                 default="",
             )
-        # the central count fixes V = 1 - a / t^4; along that curve the side
-        # count rises strictly with t, so bisect on [a^(1/4), 1]
+        # the central count fixes V = 1 - a / t^4; along that curve p_1D
+        # rises strictly with t, so Newton steps solve p_1D = sqrt(S/N)
+        # inside [a^(1/4), 1]
         # t, V stay in [0, 1] below, so v_raw is the one input to check
         v_raw = _check_unit("v_raw", v_raw)
         a = central / _pure_counts(1.0, v_raw, 0.0, geometry, trials)[0]
-
-        def side_at(t):
-            v = np.clip(1.0 - a / t**4, 0.0, 1.0)
-            return v, _pure_counts(t, v_raw, v, geometry, trials)[1]
-
         lo = np.minimum(a**0.25, 1.0)
         side_v0 = _pure_counts(lo, v_raw, 0.0, geometry, trials)[1]
+        side_t1 = _pure_counts(1.0, v_raw, np.clip(1.0 - a, 0.0, 1.0), geometry, trials)[1]
         failed = np.select(
-            [~np.isfinite(a), side <= 0, (a > 1) | (side_v0 > side), side_at(1.0)[1] < side],
+            [~np.isfinite(a), side <= 0, (a > 1) | (side_v0 > side), side_t1 < side],
             ["real root", "t > 0", "V >= 0", "t <= 1"],
             default="",
         )
         hi = np.where(failed == "", 1.0, lo)
+        coeffs = _side_quintic(a, v_raw, geometry.split_bs_reflectivity)
+        y = np.sqrt(side / trials)
+        t = 0.5 * (lo + hi)
         while True:
-            t = 0.5 * (lo + hi)
-            if not np.any((lo < t) & (t < hi)):
-                return t, side_at(t)[0], failed
-            below = side_at(t)[1] < side
-            lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+            p_1d, slope = _p1d_and_slope(t, coeffs)
+            f = p_1d - y
+            lo, hi = np.where(f < 0, t, lo), np.where(f > 0, t, hi)
+            # a Newton step strictly inside the bracket, or none at all;
+            # else the midpoint. Each evaluation then narrows the bracket,
+            # so no two iterates can cycle
+            newton = t - f / slope
+            ok = ((lo < newton) & (newton < hi)) | (newton == t)
+            t_next = np.where(ok, newton, 0.5 * (lo + hi))
+            step, t = np.abs(t_next - t), t_next
+            if not np.any(step > 16.0 * np.finfo(float).eps * t):
+                return t, np.clip(1.0 - a / t**4, 0.0, 1.0), failed
 
 
 def fit(counts: PeakCounts, geometry: SetupGeometry, v_raw: float | None = None) -> FitResult:
     """Exact inversion of (central, side) counts for (t, V).
 
-    Raw mode solves a quadratic in t; purified mode bisects the side count
-    along the curve on which the central count matches, with `v_raw` from a
-    prior raw fit as a constant. Raises `FitError` when no (t, V) in
-    (0, 1] x [0, 1] reproduces the counts, naming the constraint that fails.
+    Raw mode solves a quadratic in t; purified mode solves the side count's
+    quintic in t along the curve on which the central count matches, with
+    `v_raw` from a prior raw fit as a constant. Raises `FitError` when no
+    (t, V) in (0, 1] x [0, 1] reproduces the counts, naming the constraint
+    that fails.
     """
     if counts.central == 0 and counts.side == 0:
         raise FitError("degenerate input: central and side counts are both zero")
@@ -290,21 +326,21 @@ def mc_uncertainty(
 def read_peak_counts(path, repetition_rate: float = 10e6, integration_time: float = 30.0) -> PeakCounts:
     """Read pre-integrated peak counts from delimited text with columns
     (peak_index, counts); peak 0 is the central peak, the side value is the
-    mean over all other peaks."""
-    rows = _read_two_columns(path, ("peak_index", "counts"))
-    central = None
-    sides = []
-    for idx, value in rows:
-        if int(round(idx)) == 0:
-            central = value
-        else:
-            sides.append(value)
-    if central is None:
+    mean over all other peaks. Each peak_index must be a distinct integer."""
+    peaks: dict[int, float] = {}
+    for lineno, idx, value in _read_two_columns(path, ("peak_index", "counts")):
+        if not idx.is_integer():
+            raise ValueError(f"{path}:{lineno}: peak_index must be an integer, got {idx!r}")
+        if idx in peaks:
+            raise ValueError(f"{path}:{lineno}: peak_index {int(idx)} is repeated")
+        peaks[int(idx)] = value
+    if 0 not in peaks:
         raise ValueError(f"{path}: no peak_index 0 (central peak) found")
+    sides = [v for k, v in peaks.items() if k != 0]
     if not sides:
         raise ValueError(f"{path}: no side peaks found")
     return PeakCounts(
-        central=central,
+        central=peaks[0],
         side=float(np.mean(sides)),
         repetition_rate=repetition_rate,
         integration_time=integration_time,
@@ -320,7 +356,7 @@ def read_histogram(
     rows = _read_two_columns(path, ("time_bin_ns", "counts"))
     period_ns = 1e9 / repetition_rate
     peaks: dict[int, float] = {}
-    for t_ns, value in rows:
+    for _, t_ns, value in rows:
         k = int(np.rint(t_ns / period_ns))
         if abs(t_ns - k * period_ns) <= period_ns / 2:
             peaks[k] = peaks.get(k, 0.0) + value
@@ -337,7 +373,8 @@ def read_histogram(
     )
 
 
-def _read_two_columns(path, columns: tuple[str, str]) -> list[tuple[float, float]]:
+def _read_two_columns(path, columns: tuple[str, str]) -> list[tuple[int, float, float]]:
+    """(line number, first, second) for every data row of `path`."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -354,7 +391,7 @@ def _read_two_columns(path, columns: tuple[str, str]) -> list[tuple[float, float
             for name, value in zip(columns, row):
                 if not math.isfinite(value):
                     raise ValueError(f"{path}:{lineno}: {name} must be finite, got {value}")
-            rows.append(row)
+            rows.append((lineno, *row))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows

@@ -4,7 +4,9 @@ Everything here is deliberately written from first principles (polynomial
 creation-operator algebra, plain permutation sums, brute-force path
 enumeration) and shares no code path with the package kernels it checks.
 The least-squares count fits share only the forward count model with the
-package; they check its closed-form inversion. The expanded emission
+package; they check its closed-form inversion. The purified bisection is
+the package's earlier purified inversion, kept to pin the Newton solve on
+the closed-form quintic that replaced it. The expanded emission
 mixture shares the signature-probability path with the package; it checks
 Ryser's formula with multiplicities, which replaced that expansion. The
 complex-exponential dephasing sampler is the package's earlier sampler,
@@ -353,6 +355,35 @@ def model_counts(t, v, geometry, counts_meta, v_raw=None):
     if geometry.mode == "raw":
         return raw_count_model(t, v, geometry, counts_meta)
     return pure_count_model(t, v_raw, v, geometry, counts_meta)
+
+
+def pure_inversion_bisect(central, side, counts_meta, geometry, v_raw):
+    """Purified (t, V, failed) for arrays of counts by bisection: the
+    central count fixes V = 1 - a/t^4, and the side count of
+    `pure_count_model` along that curve is bisected on [a^(1/4), 1] until
+    the bracket stops shrinking. Failures are labelled as the package
+    labels them."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = central / pure_count_model(1.0, v_raw, 0.0, geometry, counts_meta)[0]
+
+        def side_at(t):
+            v = np.clip(1.0 - a / t**4, 0.0, 1.0)
+            return v, pure_count_model(t, v_raw, v, geometry, counts_meta)[1]
+
+        lo = np.minimum(a**0.25, 1.0)
+        side_v0 = pure_count_model(lo, v_raw, 0.0, geometry, counts_meta)[1]
+        failed = np.select(
+            [~np.isfinite(a), side <= 0, (a > 1) | (side_v0 > side), side_at(1.0)[1] < side],
+            ["real root", "t > 0", "V >= 0", "t <= 1"],
+            default="",
+        )
+        hi = np.where(failed == "", 1.0, lo)
+        while True:
+            t = 0.5 * (lo + hi)
+            if not np.any((lo < t) & (t < hi)):
+                return t, side_at(t)[0], failed
+            below = side_at(t)[1] < side
+            lo, hi = np.where(below, t, lo), np.where(below, hi, t)
 
 
 def least_squares_fit(counts, geometry, v_raw=None, grid=11, refine_starts=3):

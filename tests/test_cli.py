@@ -195,6 +195,43 @@ def test_fit_pure_requires_v_raw(tmp_path, capsys):
     assert float(values["v"]) == pytest.approx(0.91, abs=1e-6)
 
 
+def test_fit_pure_rejects_demux_split(tmp_path, capsys):
+    # the purified model has no demultiplexer, so --demux-split would be ignored
+    meta = PeakCounts(central=1, side=1, repetition_rate=10e6, integration_time=800.0)
+    central, side = pure_count_model(0.3, 0.83, 0.91, SetupGeometry(mode="purified"), meta)
+    path = tmp_path / "pure_counts.txt"
+    path.write_text(f"0 {central}\n1 {side}\n")
+    argv = ["fit", "--counts", str(path), "--mode", "pure", "--time", "800", "--v-raw", "0.83"]
+    code, default_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--demux-split", "0.5")
+    assert code == 0 and out == default_out
+    code, out, err = run_cli(capsys, *argv, "--demux-split", "0.3")
+    assert code == 2 and out == ""
+    assert "--demux-split" in err and "pure mode" in err
+    raw = _write_raw_counts_file(tmp_path)
+    code, _, _ = run_cli(
+        capsys, "fit", "--counts", raw, "--mode", "raw", "--time", "30", "--demux-split", "0.3"
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 5\n1 5\n0 7\n", "counts.txt:3: peak_index 0 is repeated"),
+        ("0.4 5\n1 5\n", "counts.txt:1: peak_index must be an integer, got 0.4"),
+        ("0 5\n1.2 5\n", "counts.txt:2: peak_index must be an integer, got 1.2"),
+    ],
+)
+def test_fit_rejects_repeated_or_fractional_peak_index(tmp_path, capsys, text, message):
+    path = tmp_path / "counts.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "fit", "--counts", str(path), "--mode", "raw")
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_fit_mc_resamples_reproducible(tmp_path, capsys):
     path = _write_raw_counts_file(tmp_path)
     argv = ["fit", "--counts", path, "--mode", "raw", "--time", "30",

@@ -1,4 +1,6 @@
 import logging
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from hompurify import (
     raw_count_model,
 )
 from hompurify.histogram_fit import (
+    _invert,
+    _p1d_and_slope,
+    _side_quintic,
     format_fit_report,
     pure_sub_probabilities,
     read_histogram,
@@ -26,6 +31,7 @@ from oracles import (
     least_squares_fit,
     mc_uncertainty_loop,
     model_counts,
+    pure_inversion_bisect,
     pure_network_sub_probs_oracle,
     raw_network_counts_oracle,
 )
@@ -228,6 +234,87 @@ def test_fit_matches_least_squares_oracle(t, v_raw, v_pure):
         assert result.v == pytest.approx(v_ls, abs=1e-9)
 
 
+def _assert_same_inversion(got, want):
+    t, v, failed = got
+    t_oracle, v_oracle, failed_oracle = want
+    np.testing.assert_array_equal(failed, failed_oracle)
+    np.testing.assert_allclose(t, t_oracle, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(v, v_oracle, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(
+    t=st.floats(0.02, 1.0), v_raw=INTERIOR, v_pure=INTERIOR,
+    r=st.sampled_from([0.3, 0.55, 0.8]),
+)
+def test_pure_inversion_matches_bisection_oracle(t, v_raw, v_pure, r):
+    geometry = SetupGeometry(split_bs_reflectivity=r, mode="purified")
+    # 1 ms of counts puts many draws out of range: t > 0, V >= 0 and t <= 1
+    for time_s in (800.0, 1e-3):
+        meta = PeakCounts(1, 1, 10e6, time_s)
+        expected = pure_count_model(t, v_raw, v_pure, geometry, meta)
+        draws = np.random.default_rng(5).poisson(expected, size=(500, 2)).astype(float)
+        single = np.array(expected, dtype=float)[:, None]
+        for central, side in (single, draws.T):
+            _assert_same_inversion(
+                _invert(central, side, meta, geometry, v_raw),
+                pure_inversion_bisect(central, side, meta, geometry, v_raw),
+            )
+
+
+def _side_p1d(t, v_raw, a, geometry):
+    """sqrt(side / N) of `pure_count_model` on the curve V = 1 - a/t^4."""
+    return np.sqrt(pure_count_model(t, v_raw, 1.0 - a / t**4, geometry, PURE_META)[1]
+                   / PURE_META.trials)
+
+
+def test_side_quintic_matches_count_model():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        t, v_raw, r = rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.95)
+        a = rng.uniform(0.0, 1.0) * (t - 4e-3 * t) ** 4  # V >= 0 on the stencil below
+        geometry = SetupGeometry(split_bs_reflectivity=r, mode="purified")
+        p_1d, slope = _p1d_and_slope(t, _side_quintic(a, v_raw, r))
+        assert p_1d == pytest.approx(_side_p1d(t, v_raw, a, geometry), rel=1e-13, abs=0)
+        # five-point central difference of the model, truncation O(h^4)
+        h = 1e-3 * t
+        diff = (
+            8.0 * (_side_p1d(t + h, v_raw, a, geometry) - _side_p1d(t - h, v_raw, a, geometry))
+            - (_side_p1d(t + 2 * h, v_raw, a, geometry) - _side_p1d(t - 2 * h, v_raw, a, geometry))
+        ) / (12.0 * h)
+        assert slope == pytest.approx(diff, rel=1e-9, abs=0)
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_pure_inversion_stops_at_float_resolution():
+    # with the coefficients rounded another way, one of these entries ended
+    # with f = +-8.3e-17 and Newton steps of 4 ulps back and forth; with
+    # inclusive bracket ends, a stop rule at 2 eps t cycled there forever
+    t, v_raw, v_pure = 0.9635743339805974, 0.7023109466961802, 0.5371041699926907
+    meta = PeakCounts(1, 1, 10e6, 800.0)
+    expected = pure_count_model(t, v_raw, v_pure, PURE_GEOM, meta)
+    draws = np.random.default_rng(8).poisson(expected, size=(500, 2)).astype(float)
+    with _time_limit(10.0):
+        got = _invert(draws[:, 0], draws[:, 1], meta, PURE_GEOM, v_raw)
+    assert (got[2] == "").all()
+    _assert_same_inversion(
+        got, pure_inversion_bisect(draws[:, 0], draws[:, 1], meta, PURE_GEOM, v_raw)
+    )
+
+
 @pytest.mark.parametrize("mode", ["raw", "purified"])
 def test_mc_uncertainty_matches_per_resample_loop(mode):
     # the batched draws are the loop's draws, and each inversion its fit
@@ -266,6 +353,29 @@ def test_read_peak_counts(tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 10\n2 20\n")
         read_peak_counts(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 37\n1 103\n0 41\n", r"peaks.txt:3: peak_index 0 is repeated"),
+        ("-1 99\n0 37\n1 103\n-1 98\n", r"peaks.txt:4: peak_index -1 is repeated"),
+        ("0.4 37\n1 103\n", r"peaks.txt:1: peak_index must be an integer, got 0.4"),
+        ("0 37\n1.2 103\n", r"peaks.txt:2: peak_index must be an integer, got 1.2"),
+    ],
+)
+def test_read_peak_counts_rejects_repeated_or_fractional_index(tmp_path, text, message):
+    path = tmp_path / "peaks.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_peak_counts(path)
+
+
+def test_read_peak_counts_accepts_integral_float_index(tmp_path):
+    path = tmp_path / "peaks.txt"
+    path.write_text("-1.0 99\n0.0 37\n1e0 101\n")
+    counts = read_peak_counts(path)
+    assert counts.central == 37 and counts.side == 100.0
 
 
 def test_read_histogram(tmp_path):
