@@ -28,8 +28,8 @@ LOSS_STAGES = ("input", "after_first_bs")
 class TransferMatrix:
     """Complex mode transformation of a passive circuit.
 
-    Ancilla modes introduced by loss dilation sit after the `n_physical`
-    physical modes (`loss_modes`); they start in vacuum and are never
+    The first `n_physical` modes are the physical ones; the ancilla modes
+    introduced by loss dilation follow them, start in vacuum and are never
     monitored.
     """
 
@@ -51,14 +51,6 @@ class TransferMatrix:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def n_ancilla(self) -> int:
-        return self.n_modes - self.n_physical
-
-    @property
-    def loss_modes(self) -> tuple[int, ...]:
-        return tuple(range(self.n_physical, self.n_modes))
 
 
 def _bs_block(reflectivity: float) -> np.ndarray:

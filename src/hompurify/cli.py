@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default=None, help="output path ('-' for stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=None, help="seed for stochastic steps")
 
     p_sim = sub.add_parser("simulate", help="evaluate scenarios from a config file")
     p_sim.add_argument("--config", required=True)
@@ -405,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="raw mode only")
     p_fit.add_argument("--split-reflectivity", type=float, default=0.55)
     p_fit.add_argument("--mc-resamples", type=int, default=0)
+    p_fit.add_argument("--seed", type=int, default=None, help="seed for the Monte Carlo resamples")
     add_common(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -416,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--photons", type=int, default=4)
     p_mc.add_argument("--dt", type=float, default=None)
     p_mc.add_argument("--horizon", type=float, default=None)
+    p_mc.add_argument("--seed", type=int, default=None, help="seed for the sampler")
     add_common(p_mc)
     p_mc.set_defaults(func=cmd_mc_dephasing)
     return parser

@@ -1,13 +1,13 @@
 """Correlation-peak counting models and their closed-form inversion.
 
-The raw and purified interference setups are modeled as explicit
-beamsplitter networks with pairwise-interference bunching rules; central
-and side correlation-peak counts follow from the system efficiency t and
-the visibilities. Fitting inverts (central, side) counts for (t, V)
-exactly, a quadratic in raw mode and the one root of a closed-form quintic
-in t in purified mode, solved by bracket-safeguarded Newton steps, and a
-Poissonian Monte Carlo propagates count noise into parameter
-uncertainties.
+The raw and purified interference setups are beamsplitter networks with
+pairwise-interference bunching rules; their central and side
+correlation-peak probabilities are short polynomials in the system
+efficiency t, linear in the visibility. Fitting inverts (central, side)
+counts for (t, V) on the same polynomials, a quadratic in raw mode and the
+one root of a quintic in t in purified mode, solved by bracket-safeguarded
+Newton steps, and a Poissonian Monte Carlo propagates count noise into
+parameter uncertainties.
 """
 
 from __future__ import annotations
@@ -92,24 +92,21 @@ def _check_unit(name, value):
 def raw_count_model(t, v_raw, geometry: SetupGeometry, counts_meta: PeakCounts):
     """Expected (central, side) counts of the two-photon raw HOM setup.
 
-    Central peak: both photons survive, route to the final beamsplitter
-    and anti-bunch. Side peak: the square of the single-detector click
-    probability P_1D of one pulse period.
+    With x = d r t the probability that one photon survives and threads
+    the demultiplexer and splitter to the final beamsplitter, the central
+    peak needs both there and anti-bunched, p_central = x^2 (1 - V) / 2.
+    The side peak is the square of the single-detector click probability
+    of one pulse period: 1/2 when one photon reaches the final
+    beamsplitter and 1 - (1 + V)/4 when both do, which sums to
+    p_1D = x - x^2/2 + p_central/2. `_invert` solves these two lines for
+    x and V.
     """
     t = _check_unit("t", t)
     v_raw = _check_unit("v_raw", v_raw)
-    d = geometry.demux_split
-    r = geometry.split_bs_reflectivity
-    trials = counts_meta.trials
-    p_central = t**2 * d**2 * r**2 * 0.5 * (1.0 - v_raw)
-    # one photon lost: the survivor threads demux, splitter and final BS;
-    # both photons alive: either both reach the final BS and the detector
-    # is not avoided by bunching, or exactly one threads through fully.
-    p_1d = (
-        2.0 * t * (1.0 - t) * d * r * 0.5
-        + t**2 * (d**2 * r**2 * 0.25 * (3.0 - v_raw) + 2.0 * d * r * 0.5 * (1.0 - d * r))
-    )
-    return trials * p_central, trials * p_1d**2
+    x = geometry.demux_split * geometry.split_bs_reflectivity * t
+    p_central = 0.5 * x**2 * (1.0 - v_raw)
+    p_1d = x - 0.5 * x**2 + 0.5 * p_central
+    return counts_meta.trials * p_central, counts_meta.trials * p_1d**2
 
 
 def pure_sub_probabilities(t, v_raw, v_pure, geometry: SetupGeometry) -> dict:
@@ -119,28 +116,22 @@ def pure_sub_probabilities(t, v_raw, v_pure, geometry: SetupGeometry) -> dict:
     photon passed on, or both photons on the herald. Bottom copy: b0 / b1 /
     b2 photons reaching the final beamsplitter's lower input.
     """
+    t = _check_unit("t", t)
+    v_raw = _check_unit("v_raw", v_raw)
     _check_unit("v_pure", v_pure)
-    return _sub_probabilities(_check_unit("t", t), _check_unit("v_raw", v_raw), geometry)
-
-
-def _sub_probabilities(t, v_raw, geometry: SetupGeometry) -> dict:
     r = geometry.split_bs_reflectivity
     h = 1.0 - r  # herald arm of the 45:55 splitter
     p_bunch = 0.25 * (1.0 + v_raw)
     p_split = 2.0 * r * (1.0 - r)
-    h1t1 = t**2 * p_bunch * p_split
-    h1t0 = t * (2.0 * (1.0 - t) * 0.5 * h + t * (1.0 - 2.0 * p_bunch) * h)
-    h2t0 = t**2 * p_bunch * h**2
     b1 = t * (2.0 * (1.0 - t) * 0.5 * r + t * (p_bunch * p_split + (1.0 - 2.0 * p_bunch) * r))
     b2 = t**2 * p_bunch * r**2
-    b0 = 1.0 - b1 - b2
     return {
         "p_bunch": p_bunch,
         "p_split": p_split,
-        "h1t1": h1t1,
-        "h1t0": h1t0,
-        "h2t0": h2t0,
-        "b0": b0,
+        "h1t1": t**2 * p_bunch * p_split,
+        "h1t0": t * (2.0 * (1.0 - t) * 0.5 * h + t * (1.0 - 2.0 * p_bunch) * h),
+        "h2t0": t**2 * p_bunch * h**2,
+        "b0": 1.0 - b1 - b2,
         "b1": b1,
         "b2": b2,
     }
@@ -149,55 +140,46 @@ def _sub_probabilities(t, v_raw, geometry: SetupGeometry) -> dict:
 def pure_count_model(t, v_raw, v_pure, geometry: SetupGeometry, counts_meta: PeakCounts):
     """Expected (central, side) counts of the four-photon purified setup.
 
-    The side-peak click probability combines the top-copy herald cases with
-    the bottom-copy photon numbers and the final-beamsplitter input
-    configurations (single / split / bunched / three-photon). A split input
-    mixes one purified with one unpurified photon, so its visibility is
-    approximated by the average of the raw and purified values, with an
-    explicit correction for the fully-purified sub-case.
+    With u = 1 - V_pure and the coefficients of `_pure_coefficients`,
+    p_central = 4 b4 t^4 u and p_1D = c5 t^4 + c4 t^3 + c3 t^2 + u (b4 t^4 +
+    b3 t^3): the top-copy herald cases, the bottom-copy photon numbers and
+    the final-beamsplitter input configurations (single / split / bunched /
+    three-photon), expanded in t. A split input mixes one purified with one
+    unpurified photon, so its visibility is taken as the average of the raw
+    and purified values. See notes/decisions.md.
     """
-    return _pure_counts(
-        _check_unit("t", t), _check_unit("v_raw", v_raw), _check_unit("v_pure", v_pure),
-        geometry, counts_meta.trials,
-    )
+    t = _check_unit("t", t)
+    coeffs = _pure_coefficients(_check_unit("v_raw", v_raw), geometry.split_bs_reflectivity)
+    u = 1.0 - _check_unit("v_pure", v_pure)
+    trials = counts_meta.trials
+    return trials * 4.0 * coeffs[3] * t**4 * u, trials * _pure_p1d(t, u, coeffs) ** 2
 
 
-def _pure_counts(t, v_raw, v_pure, geometry: SetupGeometry, trials):
-    """`pure_count_model` on inputs already checked to lie in [0, 1]."""
-    sub = _sub_probabilities(t, v_raw, geometry)
-    p_central = t**4 * sub["p_bunch"] ** 2 * sub["p_split"] ** 2 * 0.5 * (1.0 - v_pure)
-    p_single = 0.5
-    p_split_input = 0.25 * (3.0 - (v_raw + v_pure) / 2.0)
-    p_bunched_input = 0.75
-    p_three_photon = 1.0 - 0.125 * (1.0 + 2.0 * v_pure)
-    p_two_purified = t**4 * sub["p_bunch"] ** 2 * sub["p_split"] ** 2
-    p_1d = (
-        (sub["h1t0"] + sub["h2t0"]) * (sub["b1"] * p_single + sub["b2"] * p_bunched_input)
-        + sub["h1t1"]
-        * (sub["b0"] * p_single + sub["b1"] * p_split_input + sub["b2"] * p_three_photon)
-        - p_two_purified * p_split_input
-        + p_two_purified * 0.25 * (3.0 - v_pure)
-    )
-    return trials * p_central, trials * p_1d**2
-
-
-def _side_quintic(a, v_raw, r):
-    """(c5, c4, c3, c1, c0) with t p_1D = c5 t^5 + c4 t^4 + c3 t^3 + c1 t + c0
-    for the purified model along V = 1 - a/t^4, at split reflectivity r;
-    there is no t^2 term. See notes/decisions.md."""
+def _pure_coefficients(v_raw, r):
+    """(c5, c4, c3, b4, b3) of the purified model at split reflectivity r:
+    p_1D = c5 t^4 + c4 t^3 + c3 t^2 + (1 - V) (b4 t^4 + b3 t^3) and
+    p_central = 4 b4 t^4 (1 - V)."""
     rs, w = r * (1.0 - r), 1.0 + v_raw
     return (
         rs * r * w**2 * (2.0 * r + 2.0 * v_raw - 1.0) / 64.0,
         -rs * w * (r * v_raw + 2.0 * r + 2.0) / 16.0,
         rs * (v_raw + 3.0) / 4.0,
-        a * (rs * w) ** 2 / 32.0,
-        a * rs * r * w / 16.0,
+        (rs * w) ** 2 / 32.0,
+        rs * r * w / 16.0,
     )
 
 
-def _p1d_and_slope(t, coeffs):
-    """p_1D and dp_1D/dt at t from `_side_quintic` coefficients."""
-    c5, c4, c3, c1, c0 = coeffs
+def _pure_p1d(t, u, coeffs):
+    """p_1D of the purified model at t and u = 1 - V."""
+    c5, c4, c3, b4, b3 = coeffs
+    return ((c5 * t + c4) * t + c3) * t**2 + u * (b4 * t + b3) * t**3
+
+
+def _p1d_and_slope(t, a, coeffs):
+    """p_1D and dp_1D/dt at t along V = 1 - a/t^4, where
+    t p_1D = c5 t^5 + c4 t^4 + c3 t^3 + a b4 t + a b3."""
+    c5, c4, c3, b4, b3 = coeffs
+    c1, c0 = a * b4, a * b3
     p_1d = ((c5 * t + c4) * t + c3) * t**2 + c1 + c0 / t
     return p_1d, ((4.0 * c5 * t + 3.0 * c4) * t + 2.0 * c3) * t - c0 / t**2
 
@@ -232,22 +214,22 @@ def _invert(central, side, counts_meta, geometry, v_raw):
         # rises strictly with t, so Newton steps solve p_1D = sqrt(S/N)
         # inside [a^(1/4), 1]
         # t, V stay in [0, 1] below, so v_raw is the one input to check
-        v_raw = _check_unit("v_raw", v_raw)
-        a = central / _pure_counts(1.0, v_raw, 0.0, geometry, trials)[0]
+        coeffs = _pure_coefficients(_check_unit("v_raw", v_raw), geometry.split_bs_reflectivity)
+        a = central / (trials * 4.0 * coeffs[3])
         lo = np.minimum(a**0.25, 1.0)
-        side_v0 = _pure_counts(lo, v_raw, 0.0, geometry, trials)[1]
-        side_t1 = _pure_counts(1.0, v_raw, np.clip(1.0 - a, 0.0, 1.0), geometry, trials)[1]
+        # the side counts at the bracket ends, as `pure_count_model` has them
+        side_v0 = trials * _pure_p1d(lo, 1.0, coeffs) ** 2
+        side_t1 = trials * _pure_p1d(1.0, 1.0 - np.clip(1.0 - a, 0.0, 1.0), coeffs) ** 2
         failed = np.select(
             [~np.isfinite(a), side <= 0, (a > 1) | (side_v0 > side), side_t1 < side],
             ["real root", "t > 0", "V >= 0", "t <= 1"],
             default="",
         )
         hi = np.where(failed == "", 1.0, lo)
-        coeffs = _side_quintic(a, v_raw, geometry.split_bs_reflectivity)
         y = np.sqrt(side / trials)
         t = 0.5 * (lo + hi)
         while True:
-            p_1d, slope = _p1d_and_slope(t, coeffs)
+            p_1d, slope = _p1d_and_slope(t, a, coeffs)
             f = p_1d - y
             lo, hi = np.where(f < 0, t, lo), np.where(f > 0, t, hi)
             # a Newton step strictly inside the bracket, or none at all;
@@ -334,17 +316,7 @@ def read_peak_counts(path, repetition_rate: float = 10e6, integration_time: floa
         if idx in peaks:
             raise ValueError(f"{path}:{lineno}: peak_index {int(idx)} is repeated")
         peaks[int(idx)] = value
-    if 0 not in peaks:
-        raise ValueError(f"{path}: no peak_index 0 (central peak) found")
-    sides = [v for k, v in peaks.items() if k != 0]
-    if not sides:
-        raise ValueError(f"{path}: no side peaks found")
-    return PeakCounts(
-        central=peaks[0],
-        side=float(np.mean(sides)),
-        repetition_rate=repetition_rate,
-        integration_time=integration_time,
-    )
+    return _central_and_side(path, peaks, repetition_rate, integration_time)
 
 
 def read_histogram(
@@ -360,17 +332,18 @@ def read_histogram(
         k = int(np.rint(t_ns / period_ns))
         if abs(t_ns - k * period_ns) <= period_ns / 2:
             peaks[k] = peaks.get(k, 0.0) + value
+    return _central_and_side(path, peaks, repetition_rate, integration_time)
+
+
+def _central_and_side(path, peaks: dict[int, float], repetition_rate, integration_time):
+    """`PeakCounts` with peak 0 as the central count and the mean of the
+    other peaks as the side count."""
     if 0 not in peaks:
-        raise ValueError(f"{path}: histogram covers no central peak")
+        raise ValueError(f"{path}: no central peak (peak 0) found")
     sides = [v for k, v in peaks.items() if k != 0]
     if not sides:
-        raise ValueError(f"{path}: histogram covers no side peaks")
-    return PeakCounts(
-        central=peaks[0],
-        side=float(np.mean(sides)),
-        repetition_rate=repetition_rate,
-        integration_time=integration_time,
-    )
+        raise ValueError(f"{path}: no side peaks found")
+    return PeakCounts(peaks[0], float(np.mean(sides)), repetition_rate, integration_time)
 
 
 def _read_two_columns(path, columns: tuple[str, str]) -> list[tuple[int, float, float]]:
@@ -382,7 +355,7 @@ def _read_two_columns(path, columns: tuple[str, str]) -> list[tuple[int, float, 
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
-            if len(parts) < 2:
+            if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {line!r}")
             try:
                 row = (float(parts[0]), float(parts[1]))

@@ -214,9 +214,11 @@ class DistinguishabilityMatrix:
 
 
 def _as_gram(s) -> np.ndarray:
-    if isinstance(s, DistinguishabilityMatrix):
-        return s.entries
-    return np.asarray(s, dtype=complex)
+    """Entries of `s` as a checked Gram matrix: anything that is not a
+    `DistinguishabilityMatrix` is built into one."""
+    if not isinstance(s, DistinguishabilityMatrix):
+        s = DistinguishabilityMatrix(s)
+    return s.entries
 
 
 def _real_part(vals: np.ndarray, what: str) -> np.ndarray:

@@ -207,13 +207,12 @@ def _constant_or_matrix(c_or_s) -> np.ndarray:
 
 def p2_from_g2(g2: float) -> float:
     """Two-photon emission probability implied by g2(0) for a source with
-    no higher-order emissions: (1 - g2 - sqrt(1 - 2 g2)) / g2, evaluated by
-    series below g2 = 1e-6 to avoid the removable 0/0."""
+    no higher-order emissions: (1 - g2 - sqrt(1 - 2 g2)) / g2, evaluated as
+    g2 / (1 - g2 + sqrt(1 - 2 g2)), the same value without the cancellation
+    (exactly 0 at g2 = 0)."""
     if not 0.0 <= g2 < 0.5:
         raise ValueError("g2 must satisfy 0 <= g2 < 0.5")
-    if g2 < 1e-6:
-        return g2 / 2.0 + g2**2 / 2.0
-    return (1.0 - g2 - sqrt(1.0 - 2.0 * g2)) / g2
+    return g2 / (1.0 - g2 + sqrt(1.0 - 2.0 * g2))
 
 
 def _hom(r_final: float, w: float) -> float:

@@ -6,7 +6,10 @@ enumeration) and shares no code path with the package kernels it checks.
 The least-squares count fits share only the forward count model with the
 package; they check its closed-form inversion. The purified bisection is
 the package's earlier purified inversion, kept to pin the Newton solve on
-the closed-form quintic that replaced it. The expanded emission
+the closed-form quintic that replaced it. The composed purified count
+model is the package's earlier `pure_count_model`, built here on the
+enumerated routing probabilities, kept to pin the polynomial that
+replaced it. The expanded emission
 mixture shares the signature-probability path with the package; it checks
 Ryser's formula with multiplicities, which replaced that expansion. The
 complex-exponential dephasing sampler is the package's earlier sampler,
@@ -344,6 +347,31 @@ def pure_network_sub_probs_oracle(t, v_raw, split=0.55):
         "b1": bottom.get(1, 0.0),
         "b2": bottom.get(2, 0.0),
     }
+
+
+def pure_network_counts_oracle(t, v_raw, v_pure, split=0.55):
+    """(P_central, P_1D) of the purified network, composed from the
+    enumerated per-copy probabilities of `pure_network_sub_probs_oracle`
+    and the final-beamsplitter input configurations.
+
+    The central peak needs both copies to herald and pass one photon on
+    (h1t1 each) and the pair to anti-bunch. A given detector clicks with
+    1/2 for one photon, 3/4 for a bunched pair from one copy,
+    1 - (1 + 2 V_pure)/8 for three photons, and (3 - V)/4 for a split pair
+    of visibility V: the average of V_raw and V_pure when one photon is
+    purified, V_pure when both are (probability h1t1^2)."""
+    sub = pure_network_sub_probs_oracle(t, v_raw, split)
+    both_purified = sub["h1t1"] ** 2
+    p_single, p_bunched = 0.5, 0.75
+    p_split_input = 0.25 * (3.0 - (v_raw + v_pure) / 2.0)
+    p_three_photon = 1.0 - 0.125 * (1.0 + 2.0 * v_pure)
+    p_1d = (
+        (sub["h1t0"] + sub["h2t0"]) * (sub["b1"] * p_single + sub["b2"] * p_bunched)
+        + sub["h1t1"]
+        * (sub["b0"] * p_single + sub["b1"] * p_split_input + sub["b2"] * p_three_photon)
+        + both_purified * (0.25 * (3.0 - v_pure) - p_split_input)
+    )
+    return both_purified * 0.5 * (1.0 - v_pure), p_1d
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,7 @@ def test_with_loss_trivial_and_single_mode():
     assert np.array_equal(out.matrix, purifier_pair_circuit(0.5, 0.5, 0.5).matrix)
     # open couplers: a photon entering mode 0 survives with its transmission
     lossy, _ = purifier_circuits(0.0, 0.0, 0.0, [0.7] + [1.0] * 5)
-    assert lossy.n_physical == 6
-    assert lossy.loss_modes == (6,)
+    assert (lossy.n_physical, lossy.n_modes) == (6, 7)
     assert abs(lossy.matrix[0, 0]) ** 2 == pytest.approx(0.7)
 
 
@@ -109,13 +108,12 @@ def test_with_loss_validation():
         purifier_circuits(0.5, 0.5, 0.5, [1.2] + [1.0] * 5)
 
 
-def test_transfer_matrix_derives_loss_modes():
-    tm = TransferMatrix(np.eye(3), n_physical=1)
-    assert tm.n_ancilla == 2
-    assert tm.loss_modes == (1, 2)
-    assert TransferMatrix(np.eye(3)).loss_modes == ()
-    with pytest.raises(ValueError):
-        TransferMatrix(np.eye(3), n_physical=4)
+def test_transfer_matrix_validates_n_physical():
+    assert TransferMatrix(np.eye(3), n_physical=1).n_physical == 1
+    assert TransferMatrix(np.eye(3)).n_physical == 3
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="n_physical"):
+            TransferMatrix(np.eye(3), n_physical=bad)
 
 
 def test_purifier_circuits_validation():
@@ -158,8 +156,7 @@ def test_purifier_circuits_match_explicit_product(r1, r2, r_final, transmissions
     want_out, want_ref = explicit_purifier(r1, r2, r_final, transmissions, loss_stage)
     for got, want in ((out, want_out), (ref, want_ref)):
         m = got.matrix
-        assert got.n_physical == 6
-        assert got.loss_modes == tuple(range(6, len(want)))
+        assert (got.n_physical, got.n_modes) == (6, len(want))
         assert np.abs(m @ m.conj().T - np.eye(len(m))).max() <= 1e-12
         assert np.abs(m - want).max() <= 1e-15
     assert np.array_equal(

@@ -232,6 +232,27 @@ def test_fit_rejects_repeated_or_fractional_peak_index(tmp_path, capsys, text, m
     assert message in err
 
 
+def test_fit_rejects_extra_column(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    path.write_text("-1 99\n0 37 99\n1 103\n")
+    code, out, err = run_cli(capsys, "fit", "--counts", str(path), "--mode", "raw")
+    assert code == 2 and out == ""
+    assert "counts.txt:2: expected two columns" in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {"scenarios": [{"id": "a", "model": "constant", "c": 1.0}]}),
+    ("sweep", {"sweep": "final_bs", "start": 0.3, "stop": 0.7, "points": 3, "c2": 0.8}),
+], ids=["simulate", "sweep"])
+def test_deterministic_commands_take_no_seed(tmp_path, capsys, command, payload):
+    argv = [command, "--config", write_json(tmp_path, "c.json", payload), "--out", "-"]
+    assert run_cli(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_fit_mc_resamples_reproducible(tmp_path, capsys):
     path = _write_raw_counts_file(tmp_path)
     argv = ["fit", "--counts", path, "--mode", "raw", "--time", "30",

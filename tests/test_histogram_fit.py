@@ -19,7 +19,7 @@ from hompurify import (
 from hompurify.histogram_fit import (
     _invert,
     _p1d_and_slope,
-    _side_quintic,
+    _pure_coefficients,
     format_fit_report,
     pure_sub_probabilities,
     read_histogram,
@@ -32,6 +32,7 @@ from oracles import (
     mc_uncertainty_loop,
     model_counts,
     pure_inversion_bisect,
+    pure_network_counts_oracle,
     pure_network_sub_probs_oracle,
     raw_network_counts_oracle,
 )
@@ -82,11 +83,25 @@ def test_count_models_reject_out_of_range_arguments(model, name, bad):
 
 
 def test_raw_model_matches_path_enumeration():
-    for t, v in [(0.3, 0.9), (0.7, 0.5), (1.0, 0.0), (0.15, 0.9999)]:
-        central, side = raw_count_model(t, v, RAW_GEOM, RAW_META)
-        p_c, p_1d = raw_network_counts_oracle(t, v)
-        assert central == pytest.approx(RAW_META.trials * p_c, rel=1e-12)
-        assert side == pytest.approx(RAW_META.trials * p_1d**2, rel=1e-12)
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        t, v, d, r = rng.uniform(0.0, 1.0, 4)
+        geometry = SetupGeometry(demux_split=d, split_bs_reflectivity=r)
+        central, side = raw_count_model(t, v, geometry, RAW_META)
+        p_c, p_1d = raw_network_counts_oracle(t, v, demux=d, split=r)
+        assert central == pytest.approx(RAW_META.trials * p_c, rel=1e-13, abs=0)
+        assert side == pytest.approx(RAW_META.trials * p_1d**2, rel=1e-13, abs=0)
+
+
+def test_pure_model_matches_network_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        t, v_raw, v_pure, r = rng.uniform(0.0, 1.0, 4)
+        geometry = SetupGeometry(split_bs_reflectivity=r, mode="purified")
+        central, side = pure_count_model(t, v_raw, v_pure, geometry, PURE_META)
+        p_c, p_1d = pure_network_counts_oracle(t, v_raw, v_pure, split=r)
+        assert central == pytest.approx(PURE_META.trials * p_c, rel=1e-13, abs=0)
+        assert side == pytest.approx(PURE_META.trials * p_1d**2, rel=1e-13, abs=0)
 
 
 def test_pure_sub_probabilities_match_enumeration():
@@ -262,25 +277,33 @@ def test_pure_inversion_matches_bisection_oracle(t, v_raw, v_pure, r):
             )
 
 
-def _side_p1d(t, v_raw, a, geometry):
-    """sqrt(side / N) of `pure_count_model` on the curve V = 1 - a/t^4."""
-    return np.sqrt(pure_count_model(t, v_raw, 1.0 - a / t**4, geometry, PURE_META)[1]
-                   / PURE_META.trials)
+def test_pure_fit_accepts_model_counts_at_t_1():
+    # the bracket ends are the model's own side counts; the quintic form of
+    # the same polynomial rounds the t = 1 end below them and labelled
+    # these noiseless counts "t <= 1"
+    central, side = pure_count_model(1.0, 0.875, 0.5, PURE_GEOM, PURE_META)
+    result = fit(PeakCounts(central, side, 10e6, 800.0), PURE_GEOM, v_raw=0.875)
+    assert result.t == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert result.v == pytest.approx(0.5, rel=0, abs=1e-12)
 
 
-def test_side_quintic_matches_count_model():
+def _oracle_p1d(t, v_raw, a, r):
+    """P_1D of `pure_network_counts_oracle` on the curve V = 1 - a/t^4."""
+    return pure_network_counts_oracle(t, v_raw, 1.0 - a / t**4, split=r)[1]
+
+
+def test_newton_polynomial_matches_network_oracle():
     rng = np.random.default_rng(4)
     for _ in range(200):
         t, v_raw, r = rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.95)
         a = rng.uniform(0.0, 1.0) * (t - 4e-3 * t) ** 4  # V >= 0 on the stencil below
-        geometry = SetupGeometry(split_bs_reflectivity=r, mode="purified")
-        p_1d, slope = _p1d_and_slope(t, _side_quintic(a, v_raw, r))
-        assert p_1d == pytest.approx(_side_p1d(t, v_raw, a, geometry), rel=1e-13, abs=0)
-        # five-point central difference of the model, truncation O(h^4)
+        p_1d, slope = _p1d_and_slope(t, a, _pure_coefficients(v_raw, r))
+        assert p_1d == pytest.approx(_oracle_p1d(t, v_raw, a, r), rel=1e-13, abs=0)
+        # five-point central difference of the oracle, truncation O(h^4)
         h = 1e-3 * t
         diff = (
-            8.0 * (_side_p1d(t + h, v_raw, a, geometry) - _side_p1d(t - h, v_raw, a, geometry))
-            - (_side_p1d(t + 2 * h, v_raw, a, geometry) - _side_p1d(t - 2 * h, v_raw, a, geometry))
+            8.0 * (_oracle_p1d(t + h, v_raw, a, r) - _oracle_p1d(t - h, v_raw, a, r))
+            - (_oracle_p1d(t + 2 * h, v_raw, a, r) - _oracle_p1d(t - 2 * h, v_raw, a, r))
         ) / (12.0 * h)
         assert slope == pytest.approx(diff, rel=1e-9, abs=0)
 
@@ -403,6 +426,11 @@ def test_read_rejects_malformed(tmp_path):
     path.write_text("0.0 10\ninf 3\n")
     with pytest.raises(ValueError, match="bad.txt:2: time_bin_ns must be finite"):
         read_histogram(path)
+    # an extra column is an error, not dropped
+    path.write_text("0 37\n1 103 99\n")
+    for reader in (read_peak_counts, read_histogram):
+        with pytest.raises(ValueError, match="bad.txt:2: expected two columns, got '1 103 99'"):
+            reader(path)
 
 
 def test_format_fit_report_keys():

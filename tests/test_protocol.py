@@ -1,3 +1,4 @@
+import decimal
 import itertools
 
 import numpy as np
@@ -17,6 +18,7 @@ from hompurify import (
     evaluate_scenario,
     hom_visibility,
     multiphoton_visibility,
+    multipermanent,
     output_probability,
     p2_from_g2,
     polarization_bounds,
@@ -30,6 +32,7 @@ from hompurify.circuits import TransferMatrix
 from hompurify.protocol import (
     COINCIDENCE_PATTERN,
     HERALDED_PATTERN,
+    _heralded_overlaps,
     _mixture_probabilities,
     _raw_gram,
     polarization_scenario_S,
@@ -180,13 +183,22 @@ def test_herald_pattern_consistency():
     assert via_pattern == pytest.approx(via_state, abs=1e-14)
 
 
+def _p2_decimal(g2: float) -> float:
+    """(1 - g2 - sqrt(1 - 2 g2)) / g2 in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        g = decimal.Decimal(g2)
+        return float((1 - g - (1 - 2 * g).sqrt()) / g)
+
+
 def test_p2_from_g2():
     assert p2_from_g2(0.0) == 0.0
     assert p2_from_g2(0.02) == pytest.approx(0.010205144336439265, rel=1e-12)
-    # series continuation below 1e-6 stays continuous
-    assert p2_from_g2(9.9e-7) == pytest.approx(9.9e-7 / 2, rel=1e-3)
-    with pytest.raises(ValueError):
-        p2_from_g2(0.5)
+    for g2 in np.geomspace(1e-12, 0.4999, 200):
+        assert p2_from_g2(float(g2)) == pytest.approx(_p2_decimal(float(g2)), rel=1e-15, abs=0)
+    for bad in (0.5, -1e-9):
+        with pytest.raises(ValueError):
+            p2_from_g2(bad)
 
 
 def test_multiphoton_continuity_at_zero_g2():
@@ -559,13 +571,27 @@ def test_zero_g2_closed_forms_over_the_full_range(
 
 
 def test_non_hermitian_gram_raises_non_real():
-    """A raw 4 x 4 array is not validated as a Gram matrix; one whose
-    overlaps give a non-real W raises instead of dropping the imaginary
+    """A raw 4 x 4 array is checked as a Gram matrix at the public boundary,
+    so a non-Hermitian one is rejected there. Past that check, overlaps
+    that give a non-real W still raise instead of dropping the imaginary
     part."""
     s = np.ones((4, 4), dtype=complex)
     s[0, 3] = 1j
-    with pytest.raises(ValueError, match="non-real"):
+    with pytest.raises(ValueError, match="Hermitian"):
         purified_visibility(s)
+    with pytest.raises(ValueError, match="non-real"):
+        _heralded_overlaps([s])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: purified_visibility(np.full((4, 4), 2.0)),  # once (4.0, 1.0)
+    lambda: hom_visibility(beamsplitter(0.5, (0, 1), 2), IDENTITY_2, FockState((1, 1)),
+                           COINC_2, None, 5.0 * np.ones((2, 2))),  # once 1.0
+    lambda: multipermanent(np.eye(2), 7.0 * np.ones((2, 2))),  # once 49
+], ids=["purified_visibility", "hom_visibility", "multipermanent"])
+def test_raw_array_gram_is_validated(call):
+    with pytest.raises(ValueError, match="unit diagonal"):
+        call()
 
 
 @settings(PROPERTY, max_examples=200)
@@ -635,7 +661,7 @@ def test_scenario_validation_and_rows():
 def enumerated_signature_probability(circuit, inp, pattern, s, assignment):
     """Sum of output_probability over every Fock output compatible with the
     signature, ancilla modes free."""
-    full = FockState(inp.occupations + (0,) * circuit.n_ancilla)
+    full = FockState(inp.occupations + (0,) * (circuit.n_modes - circuit.n_physical))
     outputs = patterns_for_clicks(pattern, inp.n_photons, circuit.n_modes)
     return sum(output_probability(circuit, full, out, s, assignment) for out in outputs)
 
@@ -689,7 +715,7 @@ def test_signature_probability_matches_fock_expansion(seed):
     clicked = [m for m in range(n_modes) if roles[m] == "click"]
     silent = [m for m in range(n_modes) if roles[m] == "silent"]
     pattern = ClickPattern.from_modes(clicked=clicked, silent=silent)
-    full = occupations + [0] * circuit.n_ancilla
+    full = occupations + [0] * (circuit.n_modes - circuit.n_physical)
     oracle = fock_polynomial_probabilities(circuit.matrix, full, vectors)
     expected = sum(p for occ, p in oracle.items()
                    if all(occ[m] for m in clicked) and not any(occ[m] for m in silent))
