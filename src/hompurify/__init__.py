@@ -45,6 +45,7 @@ from .protocol import (
     p2_from_g2,
     polarization_bounds,
     purified_visibility,
+    raw_visibility_sweep,
     signature_probability,
     success_probability,
 )

@@ -203,22 +203,6 @@ def _grid(config: dict, context: str, rule) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _sweep_visibility_row(v_raw: float, models: tuple[str, ...], g2: float) -> dict:
-    c = float(np.sqrt(v_raw))
-    row = {"v_raw": v_raw}
-    for model in models:
-        if model == "multipermanent":
-            row["v_pure_multipermanent"] = protocol.purified_visibility(c)[1]
-        elif model == "pure_dephasing":
-            x = 1.0 / v_raw - 1.0
-            row["v_pure_pure_dephasing"] = dephasing.pd_purified(x)
-        elif model == "multipermanent_g2":
-            row["v_pure_multipermanent_g2"] = protocol.multiphoton_visibility(c, g2)[1]
-        else:
-            raise ConfigError(f"unknown sweep model {model!r}")
-    return row
-
-
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     context = args.config
@@ -226,12 +210,18 @@ def cmd_sweep(args) -> int:
     fields = _SWEEP_FIELDS.get(str(kind), tuple(config))  # an unknown kind fails below
     _known_fields(config, fields, context, f"sweep {kind!r}")
     if kind == "raw_visibility":
-        models = tuple(config.get("models", ["multipermanent", "pure_dephasing", "multipermanent_g2"]))
+        models = config.get("models", list(protocol.SWEEP_MODELS))
+        if not (isinstance(models, list) and models
+                and all(model in protocol.SWEEP_MODELS for model in models)):
+            raise ConfigError(
+                f"{context}: 'models' must be a non-empty list of "
+                f"{', '.join(protocol.SWEEP_MODELS)}, got {models!r}"
+            )
         g2 = _checked(config.get("g2", 0.0), "'g2'", _G2, context)
         rule = _UNIT
         if "pure_dephasing" in models:  # x = 1 / v_raw - 1
             rule = (lambda v: 0.0 < v <= 1.0, "a number in (0, 1] for the pure_dephasing model")
-        rows = [_sweep_visibility_row(float(v), models, g2) for v in _grid(config, context, rule)]
+        rows = protocol.raw_visibility_sweep(_grid(config, context, rule), models, g2)
     elif kind == "polarization":
         rows = protocol.polarization_bounds(_grid(config, context, _ANY))
     elif kind in ("first_bs", "second_bs", "final_bs"):

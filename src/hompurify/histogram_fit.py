@@ -323,16 +323,20 @@ def read_histogram(
     path, repetition_rate: float = 10e6, integration_time: float = 30.0
 ) -> PeakCounts:
     """Read a time-tag histogram with columns (time_bin_ns, counts) and
-    integrate peaks with a window of half the pulse period on each side of
-    every multiple of the period; peak 0 is central."""
+    integrate peak k over the half-open window [kT - T/2, kT + T/2) of
+    the pulse period T, so every bin lands in exactly one peak; peak 0 is
+    central. A side peak holding fewer bins than the central one is cut by
+    the edge of the file and left out of the side mean."""
     rows = _read_two_columns(path, ("time_bin_ns", "counts"))
     period_ns = 1e9 / repetition_rate
     peaks: dict[int, float] = {}
+    bins: dict[int, int] = {}
     for _, t_ns, value in rows:
-        k = int(np.rint(t_ns / period_ns))
-        if abs(t_ns - k * period_ns) <= period_ns / 2:
-            peaks[k] = peaks.get(k, 0.0) + value
-    return _central_and_side(path, peaks, repetition_rate, integration_time)
+        k = math.floor((t_ns + period_ns / 2) / period_ns)
+        peaks[k] = peaks.get(k, 0.0) + value
+        bins[k] = bins.get(k, 0) + 1
+    full = {k: v for k, v in peaks.items() if bins[k] >= bins.get(0, 0)}
+    return _central_and_side(path, full, repetition_rate, integration_time)
 
 
 def _central_and_side(path, peaks: dict[int, float], repetition_rate, integration_time):
@@ -371,12 +375,15 @@ def _read_two_columns(path, columns: tuple[str, str]) -> list[tuple[int, float, 
 
 
 def format_fit_report(result: FitResult, geometry: SetupGeometry) -> str:
-    """Human-readable key = value block for a fit result."""
+    """Human-readable key = value block for a fit result. A residual
+    below 1e-12 is rounding noise and prints as 0, so the report does not
+    move with the last bit of t; the result keeps its exact value."""
+    residual = "0" if result.residual < 1e-12 else f"{result.residual:.6g}"
     lines = [
         f"mode = {geometry.mode}",
         f"t = {result.t:.10g}",
         f"v = {result.v:.10g}",
-        f"residual = {result.residual:.6g}",
+        f"residual = {residual}",
     ]
     if result.sigma_t is not None:
         lines.append(f"sigma_t = {result.sigma_t:.6g}")

@@ -138,18 +138,26 @@ def permanent_mixture_batch(a, w1: float, w2: float) -> np.ndarray:
             = sum_x sum_k prod_{g<k} a_g * b_k * prod_{g>k} (a_g + b_g),
 
     summed photon by photon in the second form, so the undoubled product,
-    the bulk of the permanent, is never formed and cancelled
-    (notes/decisions.md). Exactly 0 at w2 = 0.
+    the bulk of the permanent, is never formed and cancelled. The loop is
+    photon-major and in place: each photon's a_g and b_g are formed from
+    its own rows only and `total` and `lead` are updated where they lie,
+    so no full-size temporary is built (notes/decisions.md). Exactly 0 at
+    w2 = 0.
     """
     a = _square_stack(a)
     table, (c1, c2), _ = _ryser_tables(a.shape[-1], 2)
-    rows = a @ table  # (..., n, 3**n)
-    single = w1 * c1 * rows
-    double = w2 * c2 * rows**2
-    total, lead = double[..., 0, :], single[..., 0, :]
-    for g in range(1, rows.shape[-2]):
-        total = total * (single[..., g, :] + double[..., g, :]) + double[..., g, :] * lead
-        lead = lead * single[..., g, :]
+    rows = np.moveaxis(a @ table, -2, 0)  # (n, ..., 3**n)
+    one, two = w1 * c1, w2 * c2
+    total = rows[0] * rows[0]
+    total *= two[0]
+    lead = rows[0] * one[0]
+    for g in range(1, len(rows)):
+        single = rows[g] * one[g]
+        double = rows[g] * rows[g]
+        double *= two[g]
+        total *= single + double
+        total += double * lead
+        lead *= single
     return total.sum(axis=-1)
 
 

@@ -365,6 +365,36 @@ def bs_sweep(which: str, reflectivities, c: float, g2: float = 0.0) -> list[dict
     return rows
 
 
+SWEEP_MODELS = ("multipermanent", "pure_dephasing", "multipermanent_g2")
+
+
+def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
+    """Purified visibility versus the raw one, one column per model of
+    `SWEEP_MODELS`: the constant-overlap circuit at c = sqrt(v_raw)
+    without (`multipermanent`) and with (`multipermanent_g2`) doubled
+    emissions at `g2`, and the pure-dephasing closed form at
+    x = 1 / v_raw - 1. Each circuit column is one `_visibilities` call on
+    every grid point's purified Gram matrix, so the circuits are built
+    once per sweep; the values are those of `purified_visibility` and
+    `multiphoton_visibility` row by row."""
+    for model in models:
+        if model not in SWEEP_MODELS:
+            raise ValueError(f"unknown sweep model {model!r}")
+    v_raws = [float(v) for v in v_raws]
+    grams = [constant_overlap_S(4, sqrt(v)).entries for v in v_raws]
+    columns = {}
+    for model in dict.fromkeys(models):
+        if model == "pure_dephasing":
+            columns[model] = [pd_purified(1.0 / v - 1.0) for v in v_raws]
+        else:
+            config = NoiseConfig(g2=g2 if model == "multipermanent_g2" else 0.0)
+            columns[model] = _visibilities(grams, config)
+    return [
+        {"v_raw": v, **{f"v_pure_{model}": column[i] for model, column in columns.items()}}
+        for i, v in enumerate(v_raws)
+    ]
+
+
 def polarization_scenario_S(theta_rad: float, direction: str) -> DistinguishabilityMatrix:
     """Gram matrix of four photons with one input per copy rotated by
     theta, either both the same way or mirrored."""

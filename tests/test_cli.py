@@ -392,6 +392,14 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
          "'c'"),
         ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3, "model": "x"},
          "'model'"),
+        ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3, "models": 5},
+         "'models'"),
+        ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3,
+          "models": "multipermanent"}, "'models'"),
+        ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3, "models": []},
+         "'models'"),
+        ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3,
+          "models": ["multipermanent", "nope"]}, "'models'"),
         (["sweep"], "bad.json"),
         (5, "bad.json"),
         (None, "bad.json"),
@@ -400,7 +408,8 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
     ids=["v-raw-zero-pure-dephasing", "v-raw-above-1", "g2-half", "c-above-1", "c2-text",
          "points-text", "polarization-g2", "polarization-c", "g2-sweep-g2",
          "final-bs-reflectivities", "first-bs-models", "raw-visibility-c",
-         "raw-visibility-model-typo", "top-level-list", "top-level-number", "top-level-null",
+         "raw-visibility-model-typo", "models-number", "models-string", "models-empty",
+         "models-unknown", "top-level-list", "top-level-number", "top-level-null",
          "top-level-string"],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload, field):

@@ -415,6 +415,17 @@ def test_read_histogram(tmp_path):
     assert counts.side == pytest.approx(120.0)
 
 
+def test_read_histogram_half_open_windows(tmp_path):
+    """One count per ns from -150 to 150 ns at 10 MHz: every peak window
+    [kT - T/2, kT + T/2) holds 100 bins, the bin at +150 ns opens peak 2,
+    which the file cuts after one bin and the side mean leaves out."""
+    path = tmp_path / "flat.txt"
+    path.write_text("".join(f"{t} 1\n" for t in range(-150, 151)))
+    counts = read_histogram(path, repetition_rate=10e6)
+    assert counts.central == 100.0
+    assert counts.side == 100.0
+
+
 def test_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 \nnot numbers\n")
@@ -440,3 +451,19 @@ def test_format_fit_report_keys():
     text = format_fit_report(result, RAW_GEOM)
     assert "mode = raw" in text
     assert "t = " in text and "v = " in text
+
+
+def test_format_fit_report_ignores_rounding_residual():
+    """Fits of the model's own counts at t and one ulp above print the
+    same report, although their residuals are different rounding noise;
+    the result keeps the exact residual."""
+    pairs = []
+    for t in (0.3, 0.35, 0.4, 0.45, 0.5):
+        results = []
+        for t_true in (t, np.nextafter(t, 1.0)):
+            central, side = raw_count_model(t_true, 0.8, RAW_GEOM, RAW_META)
+            results.append(fit(PeakCounts(central=central, side=side), RAW_GEOM))
+        assert format_fit_report(results[0], RAW_GEOM) == format_fit_report(results[1], RAW_GEOM)
+        pairs.append(tuple(r.residual for r in results))
+    assert any(a != b for a, b in pairs)
+    assert all(r < 1e-12 for pair in pairs for r in pair)

@@ -118,6 +118,18 @@ def test_mixture_kernel_matches_expanded_doublings():
             assert abs(vals[k] - ref) <= 1e-12 * abs(ref), (n, w1, w2)
 
 
+def test_mixture_kernel_stack_matches_single_calls():
+    """Extra leading axes ride along the photon-major loop: every matrix
+    of a (3, 5, n, n) stack gets the bits of its own call."""
+    rng = np.random.default_rng(15)
+    for n in range(1, 5):
+        stack = rng.normal(size=(3, 5, n, n)) + 1j * rng.normal(size=(3, 5, n, n))
+        vals = permanent_mixture_batch(stack, 0.97, 0.015)
+        assert vals.shape == (3, 5)
+        for i, j in itertools.product(range(3), range(5)):
+            assert vals[i, j] == permanent_mixture_batch(stack[i, j], 0.97, 0.015), (n, i, j)
+
+
 def test_permanent_rejects_non_square():
     with pytest.raises(ValueError):
         permanent(np.ones((2, 3)))

@@ -25,6 +25,7 @@ from hompurify import (
     purified_visibility,
     purifier_circuits,
     purifier_pair_circuit,
+    raw_visibility_sweep,
     signature_probability,
     success_probability,
 )
@@ -250,6 +251,25 @@ def test_bs_sweep_final_degrades():
     assert rows[0.3]["v_pure"] < rows[0.5]["v_pure"]
     with pytest.raises(ValueError):
         bs_sweep("middle", [0.5], c)
+
+
+def test_raw_visibility_sweep_matches_per_row_calls():
+    """The batched sweep builds the circuits once and keeps the bits of
+    the per-row calls on the README grid."""
+    grid = np.linspace(0.5, 1.0, 51)
+    rows = raw_visibility_sweep(grid, ["multipermanent", "pure_dephasing", "multipermanent_g2"],
+                                0.07)
+    assert len(rows) == len(grid)
+    for v, row in zip(grid, rows):
+        c = float(np.sqrt(v))
+        assert row["v_raw"] == float(v)
+        assert row["v_pure_multipermanent"] == purified_visibility(c)[1]
+        assert row["v_pure_multipermanent_g2"] == multiphoton_visibility(c, 0.07)[1]
+    # columns follow the first listing of each model
+    rows = raw_visibility_sweep([0.8], ["multipermanent_g2", "multipermanent_g2"], 0.07)
+    assert list(rows[0]) == ["v_raw", "v_pure_multipermanent_g2"]
+    with pytest.raises(ValueError, match="unknown sweep model"):
+        raw_visibility_sweep([0.8], ["nope"], 0.0)
 
 
 def test_uniform_input_loss_leaves_visibilities():
