@@ -325,8 +325,10 @@ def read_histogram(
     """Read a time-tag histogram with columns (time_bin_ns, counts) and
     integrate peak k over the half-open window [kT - T/2, kT + T/2) of
     the pulse period T, so every bin lands in exactly one peak; peak 0 is
-    central. A side peak holding fewer bins than the central one is cut by
-    the edge of the file and left out of the side mean."""
+    central. Only the first and last peak of the file can be cut by its
+    edge: either is left out of the side mean when it holds fewer bins
+    than the central peak by more than one, since on a regular grid whose
+    bin width does not divide T complete windows differ by one bin."""
     rows = _read_two_columns(path, ("time_bin_ns", "counts"))
     period_ns = 1e9 / repetition_rate
     peaks: dict[int, float] = {}
@@ -335,7 +337,8 @@ def read_histogram(
         k = math.floor((t_ns + period_ns / 2) / period_ns)
         peaks[k] = peaks.get(k, 0.0) + value
         bins[k] = bins.get(k, 0) + 1
-    full = {k: v for k, v in peaks.items() if bins[k] >= bins.get(0, 0)}
+    edges = {min(bins), max(bins)}
+    full = {k: v for k, v in peaks.items() if k not in edges or bins[k] >= bins.get(0, 0) - 1}
     return _central_and_side(path, full, repetition_rate, integration_time)
 
 

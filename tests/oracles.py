@@ -15,7 +15,10 @@ Ryser's formula with multiplicities, which replaced that expansion. The
 complex-exponential dephasing sampler is the package's earlier sampler,
 kept to pin the real cos/sin accumulation that replaced it. The rational
 pure-dephasing form is the package's earlier `pd_purified`, kept to pin
-the moment formula that replaced it. `lossy_circuit` is a test fixture
+the moment formula that replaced it. The full-temporary mixture kernel
+is the package's earlier `permanent_mixture_batch` on the package's Ryser
+tables, kept to pin the bits of the photon-major in-place loop that
+replaced it. `lossy_circuit` is a test fixture
 builder, not an oracle: it dilates random circuits with the package's own
 couplers.
 """
@@ -30,7 +33,7 @@ from math import comb, factorial
 import numpy as np
 from scipy.optimize import least_squares
 
-from hompurify import FockState, pure_count_model, raw_count_model, signature_probability
+from hompurify import FockState, permanents, pure_count_model, raw_count_model, signature_probability
 from hompurify.circuits import TransferMatrix, beamsplitter_matrix
 
 
@@ -189,6 +192,22 @@ def batch_permanent_ryser(stack: np.ndarray) -> np.ndarray:
         sign = -1.0 if (bin(gray).count("1") & 1) else 1.0
         total += sign * np.prod(row_sum, axis=1)
     return total * ((-1.0) ** n)
+
+
+def mixture_kernel_full_temporaries(a, w1: float, w2: float) -> np.ndarray:
+    """`permanent_mixture_batch` as it was before the photon-major loop:
+    full single and doubled factor arrays, walked by strided photon
+    slices, with the same multiplications in the same order."""
+    a = permanents._square_stack(a)
+    table, (c1, c2), _ = permanents._ryser_tables(a.shape[-1], 2)
+    rows = a @ table
+    single = w1 * c1 * rows
+    double = w2 * c2 * rows**2
+    total, lead = double[..., 0, :], single[..., 0, :]
+    for g in range(1, rows.shape[-2]):
+        total = total * (single[..., g, :] + double[..., g, :]) + double[..., g, :] * lead
+        lead = lead * single[..., g, :]
+    return total.sum(axis=-1)
 
 
 def double_permutation_multipermanent(a_photon_major: np.ndarray, s: np.ndarray) -> complex:

@@ -426,6 +426,23 @@ def test_read_histogram_half_open_windows(tmp_path):
     assert counts.side == 100.0
 
 
+@pytest.mark.parametrize(
+    "first, last, side",
+    [(-50, 50, 85 / 6), (-35, 35, 14.0)],
+    ids=["three-periods", "two-periods"],
+)
+def test_read_histogram_period_not_whole_bins(tmp_path, first, last, side):
+    """One count per ns at 70 MHz (T = 14.29 ns): the central window holds
+    15 bins and complete side windows 14 or 15, and all of them count.
+    From -50 to 50 ns peak -3 holds 15 bins and peaks -2..3 hold 14; the
+    bin at 50 ns = 3.5 T opens peak 4, which is cut and left out."""
+    path = tmp_path / "flat70.txt"
+    path.write_text("".join(f"{t} 1\n" for t in range(first, last + 1)))
+    counts = read_histogram(path, repetition_rate=70e6)
+    assert counts.central == 15.0
+    assert counts.side == pytest.approx(side, rel=1e-15, abs=0)
+
+
 def test_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 \nnot numbers\n")

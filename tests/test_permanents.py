@@ -28,6 +28,7 @@ from oracles import (
     double_permutation_multipermanent,
     fock_polynomial_probabilities,
     gram_to_state_vectors,
+    mixture_kernel_full_temporaries,
     permanent_perm_sum,
 )
 
@@ -128,6 +129,20 @@ def test_mixture_kernel_stack_matches_single_calls():
         assert vals.shape == (3, 5)
         for i, j in itertools.product(range(3), range(5)):
             assert vals[i, j] == permanent_mixture_batch(stack[i, j], 0.97, 0.015), (n, i, j)
+
+
+def test_mixture_kernel_keeps_full_temporary_bits():
+    """The photon-major in-place loop makes the multiplications of the
+    earlier full-temporary kernel in the same order, so every value keeps
+    its bits, on plain and stacked inputs and at every weight pair."""
+    rng = np.random.default_rng(16)
+    for n, (w1, w2), shape in itertools.product(
+        range(1, 6), ((0.97, 0.015), (0.2, 0.4), (1.0, 0.0)), ((2,), (3, 5))
+    ):
+        stack = rng.normal(size=(*shape, n, n)) + 1j * rng.normal(size=(*shape, n, n))
+        new = permanent_mixture_batch(stack, w1, w2)
+        old = mixture_kernel_full_temporaries(stack, w1, w2)
+        assert np.array_equal(new, old), (n, w1, w2, shape)
 
 
 def test_permanent_rejects_non_square():
