@@ -46,8 +46,6 @@ def write_rows(rows: list[dict], config: dict, out_path, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps({"config": config, "rows": rows}, sort_keys=True, indent=2) + "\n"
     else:
-        if not rows:
-            raise ConfigError("empty result table")
         header = list(rows[0].keys())
         lines = _echo_lines(config)
         lines.append(",".join(header))
@@ -180,8 +178,8 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     entries = _require(config, "scenarios", args.config)
     _known_fields(config, ("scenarios",), args.config, "simulate")
-    if not isinstance(entries, list):
-        raise ConfigError(f"{args.config}: 'scenarios' must be a list of scenario objects")
+    if not (isinstance(entries, list) and entries):
+        raise ConfigError(f"{args.config}: 'scenarios' must be a non-empty list of scenarios")
     scenarios = [_scenario_from(e, i) for i, e in enumerate(entries)]
     rows = [protocol.evaluate_scenario(s) for s in scenarios]
     write_rows(rows, config, args.out, args.format)

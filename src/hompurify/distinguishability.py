@@ -40,10 +40,10 @@ class DephasingParams:
         return 2.0 * self.gamma_d / self.gamma
 
     @classmethod
-    def from_x(cls, x: float, gamma: float = 1.0, deltas=()) -> "DephasingParams":
+    def from_x(cls, x: float) -> "DephasingParams":
         if not 0.0 <= x < math.inf:
             raise ValueError(f"x must be a finite number >= 0, got {x!r}")
-        return cls(gamma=gamma, gamma_d=x * gamma / 2.0, deltas=deltas)
+        return cls(gamma=1.0, gamma_d=x / 2.0)
 
 
 @dataclass(frozen=True)

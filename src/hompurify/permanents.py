@@ -23,7 +23,8 @@ clicked row C receives a photon, no silent row does and the free rows F
 take the rest (`_clicked_subset_sums`; Shchesnovich, PRA 91, 013844
 (2015)). `protocol.signature_probability` is this sum over the rows of a
 detector signature; with emission weights the same body sums it over the
-doublings of the photons, from one H_T stack on the undoubled ones. The
+doublings of the photons, from one H_T stack on the undoubled ones for
+all Gram matrices of a table, one kernel call per Gram matrix. The
 multipermanent of one Fock output, the double-permutation sum
 
     Perm(W) = sum_{sigma, rho} prod_j W[sigma_j, rho_j, j],
@@ -241,22 +242,6 @@ def _real_part(vals: np.ndarray, what: str) -> np.ndarray:
     return vals.real
 
 
-@lru_cache(maxsize=None)
-def _subset_masks(
-    n_rows: int, clicked: tuple[int, ...], silent: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator rows of K = F | T for every T subset of `clicked`, shape
-    (2**|clicked|, n_rows), with F the free rows (neither clicked nor
-    silent), and the signs (-1)**(|clicked| - |T|): the subset table and
-    signs of `_ryser_tables(len(clicked))`."""
-    table, _, signs = _ryser_tables(len(clicked))
-    masks = np.ones((len(signs), n_rows))
-    masks[:, list(silent)] = 0.0
-    masks[:, list(clicked)] = table.T.real
-    masks.flags.writeable = False
-    return masks, signs
-
-
 def _clicked_subset_sums(
     u: np.ndarray,
     s: np.ndarray,
@@ -264,17 +249,18 @@ def _clicked_subset_sums(
     silent: tuple[int, ...] = (),
     weights: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """For each of p photon sets, the inclusion-exclusion sum
+    """For each of g Gram matrices `s` (g, n, n) and p photon sets `u`
+    (p, n_rows, n), shape (g, p), the inclusion-exclusion sum
 
         sum_{T subset C} (-1)**(|C| - |T|) perm(H_T o S),
         H_T = U^dagger diag(1_{F | T}) U,
 
-    over the clicked rows C of `u` (p, n_rows, n), with `s` (p, n, n) the
-    matching Gram matrices and F every row neither clicked nor silent.
-    Needs n >= |C|. With `weights` = (w1, w2) each perm is the weighted
-    sum over the doublings of the photons (a second photon in a photon's
-    mode and state) of `permanent_mixture_batch`, one H_T stack on the
-    undoubled photons serving them all.
+    over the clicked rows C, with F every row neither clicked nor silent.
+    Needs n >= |C|. The H_T stack is built once and each Gram matrix runs
+    one kernel call on it (notes/decisions.md, "One H_T stack per table").
+    With `weights` = (w1, w2) each perm is the weighted sum over the
+    doublings of the photons (a second photon in a photon's mode and
+    state) of `permanent_mixture_batch`.
 
     Without doublings and with n == |C| no photon is left for F, so only
     the clicked rows enter. The sum is then linear in |U[m, k]|**2 for
@@ -293,10 +279,14 @@ def _clicked_subset_sums(
         u = u * np.ldexp(1.0, -e_row)[:, :, None]
         shift = 2 * (e_row.sum(axis=1) + e_col.sum(axis=1))
         clicked, silent = tuple(range(u.shape[1])), ()
-    masks, signs = _subset_masks(u.shape[1], clicked, silent)
-    h = (u.conj().transpose(0, 2, 1)[:, None] * masks[:, None, :]) @ u[:, None] * s[:, None]
-    perms = permanent_batch(h) if weights is None else permanent_mixture_batch(h, *weights)
-    return np.ldexp(_real_part((perms * signs).sum(axis=-1), "detection probability"), shift)
+    table, _, signs = _ryser_tables(len(clicked))
+    masks = np.ones((len(signs), u.shape[1]))
+    masks[:, list(silent)] = 0.0
+    masks[:, list(clicked)] = table.T.real
+    h = (u.conj().transpose(0, 2, 1)[:, None] * masks[:, None, :]) @ u[:, None]
+    kernel = permanent_batch if weights is None else lambda a: permanent_mixture_batch(a, *weights)
+    sums = np.array([(kernel(h * s_g) * signs).sum(axis=-1) for s_g in s])
+    return np.ldexp(_real_part(sums, "detection probability"), shift)
 
 
 def _input_norm(in_modes: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -318,7 +308,7 @@ def multipermanent(b: np.ndarray, s) -> float:
         raise ValueError(
             f"Gram matrix shape {s_arr.shape} does not match submatrix {b.shape}"
         )
-    return float(_clicked_subset_sums(b[None], s_arr[None], tuple(range(b.shape[0])))[0])
+    return float(_clicked_subset_sums(b[None], s_arr[None], tuple(range(b.shape[0])))[0, 0])
 
 
 def _effective_gram(s, n: int, assignment: AssignmentList | None = None) -> np.ndarray:

@@ -170,7 +170,7 @@ def signature_probability(
     in_modes = np.array([input_state.mode_list()])
     u_in = circuit.matrix[:, in_modes].transpose(1, 0, 2)  # (1, n_modes, n)
     num = _clicked_subset_sums(u_in, s_eff[None], pattern.clicked_modes, pattern.silent_modes)
-    return float(num[0] / _input_norm(in_modes, s_eff[None])[0])
+    return float(num[0, 0] / _input_norm(in_modes, s_eff[None])[0])
 
 
 def hom_visibility(
@@ -262,11 +262,11 @@ def _heralds(config: NoiseConfig) -> bool:
 
 
 def _mixture_probabilities(
-    circuits: tuple[TransferMatrix, TransferMatrix], s: np.ndarray, r_final: float, p2: float
-) -> tuple[float, float]:
-    """(P_out, P_ref) of the photons of Gram matrix `s`, 2 x 2 for the raw
-    test and 4 x 4 for the purified one, through the purifier circuits
-    (`out`, `ref`) under the two-photon emission mixture.
+    circuits: tuple[TransferMatrix, TransferMatrix], grams, r_final: float, p2: float
+) -> np.ndarray:
+    """(P_out, P_ref), shape (g, 2), of the photons of each of g Gram
+    matrices `grams`, all 2 x 2 (raw test) or all 4 x 4 (purified), through
+    the purifier circuits (`out`, `ref`) under the two-photon mixture.
 
     Each of the N base photons independently carries a doubled emission
     with probability p2, a second photon in its mode and internal state.
@@ -280,24 +280,24 @@ def _mixture_probabilities(
     closed form holds: P_ref,0 = K N and P_out,0 = P_ref,0 (1 - V) / 2,
     with N and V from `_heralded_overlaps` and K the product over the
     photons of |U[reached, mode]|^2 in `ref`: one heralded route per
-    photon, and every route gives the same K. The rest is one evaluation
-    of Ryser's formula with multiplicities on the base photons of both
-    circuits (`permanents._clicked_subset_sums` with the emission weights).
+    photon, and every route gives the same K. The rest is Ryser's formula
+    with multiplicities on the base photons of both circuits
+    (`permanents._clicked_subset_sums` with the emission weights). K and
+    the H_T stack are formed once for all of `grams`.
     """
-    if len(s) == 2:
+    if len(grams[0]) == 2:
         modes, pattern, reached = RAW_INPUT_MODES, COINCIDENCE_PATTERN, (2, 3)
     else:
         modes, pattern, reached = PURIFIER_INPUT_MODES, HERALDED_PATTERN, (1, 2, 3, 4)
-    ((w, norm),) = _heralded_overlaps([s])
-    p_ref = norm * float(np.prod(np.abs(circuits[1].matrix[reached, modes]) ** 2))
-    singles = np.array([p_ref * (1.0 - _hom(r_final, w)) / 2.0, p_ref])
+    k = float(np.prod(np.abs(circuits[1].matrix[reached, modes]) ** 2))
+    singles = np.array([[norm * k * (1.0 - _hom(r_final, w)) / 2.0, norm * k]
+                        for w, norm in _heralded_overlaps(grams)])
     u_in = np.stack([circuit.matrix[:, modes] for circuit in circuits])
     doubled = _clicked_subset_sums(
-        u_in, s[None], pattern.clicked_modes, pattern.silent_modes,
+        u_in, np.asarray(grams), pattern.clicked_modes, pattern.silent_modes,
         weights=(1.0 - p2, p2 / 2.0),
     )
-    p_out, p_ref = (1.0 - p2) ** len(modes) * singles + doubled
-    return float(p_out), float(p_ref)
+    return (1.0 - p2) ** len(modes) * singles + doubled
 
 
 def _raw_gram(s4: np.ndarray) -> np.ndarray:
@@ -310,7 +310,8 @@ def _visibilities(grams, config: NoiseConfig) -> list[float]:
     """1 - 2 P_out / P_ref for each Gram matrix of `grams` (2 x 2 raw,
     4 x 4 purified) under `config`. At g2 = 0 this is the closed form
     `_hom(r_final, W)` and no circuit is built; above, the circuits are
-    built once for all of `grams` (`_mixture_probabilities`)."""
+    built once for all of `grams`, and each size of Gram matrix is one
+    `_mixture_probabilities` call."""
     p2 = p2_from_g2(config.g2)
     if p2 == 0.0:
         if not _heralds(config):
@@ -319,13 +320,15 @@ def _visibilities(grams, config: NoiseConfig) -> list[float]:
     circuits = purifier_circuits(
         config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
     )
-    visibilities = []
-    for s in grams:
-        p_out, p_ref = _mixture_probabilities(circuits, s, config.r_final, p2)
-        if p_ref <= 0.0:
+    visibilities = {}
+    for size in {len(s) for s in grams}:
+        index = [i for i, s in enumerate(grams) if len(s) == size]
+        p_out, p_ref = _mixture_probabilities(circuits, [grams[i] for i in index],
+                                              config.r_final, p2).T
+        if (p_ref <= 0.0).any():
             raise ValueError(_DEGENERATE)
-        visibilities.append(1.0 - 2.0 * p_out / p_ref)
-    return visibilities
+        visibilities.update(zip(index, (1.0 - 2.0 * p_out / p_ref).tolist()))
+    return [visibilities[i] for i in range(len(grams))]
 
 
 def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[float, float]:

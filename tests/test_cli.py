@@ -20,8 +20,12 @@ def run_cli(capsys, *argv):
 
 
 def write_json(tmp_path, name, payload):
+    """`payload` as JSON; bytes are written as they are."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -67,6 +71,23 @@ def test_simulate_missing_model_field(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", config)
     assert code == 2
     assert "model" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_rejects_empty_scenarios(tmp_path, capsys, fmt):
+    config = write_json(tmp_path, "empty.json", {"scenarios": []})
+    code, out, err = run_cli(capsys, "simulate", "--config", config, "--format", fmt)
+    assert code == 2 and out == ""
+    assert "'scenarios'" in err
+
+
+def test_simulate_degenerate_heralding_at_nonzero_g2(tmp_path, capsys):
+    config = write_json(tmp_path, "sim.json", {"scenarios": [
+        {"model": "constant", "c": 0.9, "g2": 0.05, "reflectivities": [0, 0.5, 0.5]},
+    ]})
+    code, out, err = run_cli(capsys, "simulate", "--config", config)
+    assert code == 3 and out == ""
+    assert "degenerate heralding" in err
 
 
 def test_simulate_missing_config_file(tmp_path, capsys):
@@ -150,6 +171,19 @@ def test_sweep_raw_visibility_models(tmp_path, capsys):
     for row in json.loads(out)["rows"]:
         x = 1.0 / row["v_raw"] - 1.0
         assert row["v_pure_pure_dephasing"] == hompurify.pd_purified(x)
+
+
+def test_sweep_g2(tmp_path, capsys):
+    config = write_json(
+        tmp_path, "sweep.json", {"sweep": "g2", "start": 0, "stop": 0.2, "points": 3, "c": 0.9}
+    )
+    code, out, err = run_cli(capsys, "sweep", "--config", config, "--out", "-", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [row["g2"] for row in rows] == [0.0, 0.1, 0.2]
+    for row in rows:
+        assert sorted(row) == ["g2", "improvement", "v_pure", "v_raw"]
+        assert (row["v_raw"], row["v_pure"]) == hompurify.multiphoton_visibility(0.9, row["g2"])
 
 
 def test_sweep_unknown_kind(tmp_path, capsys):
@@ -349,6 +383,13 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
         ({"scenarios": [{"model": "pure_dephasing", "x": 0.2, "loss_stage": "input"}]},
          "'loss_stage'"),
         ({"scenarios": [], "scenario": [{"model": "constant", "c": 0.9}]}, "'scenario'"),
+        ({"scenarios": [{"model": "constant", "c": 0.9, "loss_stage": "output"}]},
+         "loss_stage"),
+        ({"scenarios": [{"model": "polarization", "theta_deg": 10, "direction": "up"}]},
+         "direction"),
+        ({"scenarios": [{"model": "coherent", "c": 0.9}]}, "model 'coherent'"),
+        ({"scenarios": [{"model": "constant", "g2": 0.05}]}, "overlap c"),
+        (b'{"scenarios": [', "bad.json: invalid JSON"),
         (["scenarios"], "bad.json"),
         (5, "bad.json"),
         (None, "bad.json"),
@@ -359,7 +400,9 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
          "scenario-not-object", "constant-r1", "constant-loss-stage-typo", "constant-theta",
          "polarization-c", "polarization-dir", "dephasing-g2", "dephasing-reflectivities",
          "dephasing-transmissions", "dephasing-loss-stage", "top-level-scenario",
-         "top-level-list", "top-level-number", "top-level-null", "top-level-string"],
+         "loss-stage-unknown", "direction-unknown", "model-unknown", "constant-without-c",
+         "invalid-json", "top-level-list", "top-level-number", "top-level-null",
+         "top-level-string"],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
@@ -400,6 +443,9 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
          "'models'"),
         ({"sweep": "raw_visibility", "start": 0.5, "stop": 1.0, "points": 3,
           "models": ["multipermanent", "nope"]}, "'models'"),
+        ({"sweep": "g2", "start": 0.0, "stop": 0.2, "points": 3}, "'c'"),
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 2, "g2": 0.05}, "'c'"),
+        (b'{"sweep": "g2",', "bad.json: invalid JSON"),
         (["sweep"], "bad.json"),
         (5, "bad.json"),
         (None, "bad.json"),
@@ -409,8 +455,8 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
          "points-text", "polarization-g2", "polarization-c", "g2-sweep-g2",
          "final-bs-reflectivities", "first-bs-models", "raw-visibility-c",
          "raw-visibility-model-typo", "models-number", "models-string", "models-empty",
-         "models-unknown", "top-level-list", "top-level-number", "top-level-null",
-         "top-level-string"],
+         "models-unknown", "g2-sweep-without-c", "final-bs-without-c", "invalid-json",
+         "top-level-list", "top-level-number", "top-level-null", "top-level-string"],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
@@ -488,6 +534,8 @@ def test_mc_dephasing_requires_seed(capsys):
         (["--gamma", "0", "--gamma-d", "0.1"], "--gamma"),
         (["--gamma", "-1", "--gamma-d", "0.1"], "--gamma"),
         (["--gamma", "1", "--gamma-d", "-0.1"], "--gamma-d"),
+        ([], "--x"),
+        (["--gamma", "1"], "--gamma-d"),
     ],
 )
 def test_mc_dephasing_rejects_bad_flags(capsys, flags, field):

@@ -20,6 +20,7 @@ from hompurify import (
     permanent_batch,
     permanent_naive,
     purified_visibility,
+    purifier_circuits,
     submatrix,
 )
 
@@ -143,6 +144,31 @@ def test_mixture_kernel_keeps_full_temporary_bits():
         new = permanent_mixture_batch(stack, w1, w2)
         old = mixture_kernel_full_temporaries(stack, w1, w2)
         assert np.array_equal(new, old), (n, w1, w2, shape)
+
+
+def test_clicked_subset_sums_gram_axis_matches_single_calls():
+    """One call on a stack of three Gram matrices gives the bits of the
+    three calls on one Gram matrix each: the H_T stack of the photon sets
+    is shared, and each Gram matrix runs its own kernel call. Filled
+    signatures without weights, an unfilled lossy signature and the
+    weighted mixture are covered."""
+    rng = np.random.default_rng(25)
+    transmissions = (0.9, 0.8, 0.7, 0.95, 0.6, 0.85)
+    circuits = purifier_circuits(0.4, 0.55, 0.45, transmissions, "after_first_bs")
+    base = np.stack([c.matrix[:, [0, 1, 4, 5]] for c in circuits])  # (2, 12, 4)
+    cases = [
+        (base[:, :, [0, 3]], (2, 3), (), None),  # filled: raw pair on the coincidences
+        (base, (2, 3), (), None),  # unfilled: two photons left for the free rows
+        (base, (1, 2, 3, 4), (0, 5), (0.9, 0.05)),  # emission mixture
+    ]
+    for u, clicked, silent, weights in cases:
+        grams = np.stack([random_gram(u.shape[-1], rng) for _ in range(3)])
+        stacked = permanents._clicked_subset_sums(u, grams, clicked, silent, weights)
+        singles = np.concatenate([
+            permanents._clicked_subset_sums(u, s[None], clicked, silent, weights) for s in grams
+        ])
+        assert stacked.shape == (3, 2)
+        assert (stacked == singles).all(), (clicked, weights)
 
 
 def test_permanent_rejects_non_square():

@@ -590,6 +590,14 @@ def test_zero_g2_closed_forms_over_the_full_range(
         assert purified_visibility(s, config) == pytest.approx(want, rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("field", ["r1", "r2"])
+def test_degenerate_heralding_raises_at_nonzero_g2(field):
+    """A first-stage coupler that sends everything one way leaves P_ref = 0
+    on the mixture path as well as in the closed form."""
+    with pytest.raises(ValueError, match="degenerate heralding"):
+        purified_visibility(0.9, NoiseConfig(g2=0.05, **{field: 0.0}))
+
+
 def test_non_hermitian_gram_raises_non_real():
     """A raw 4 x 4 array is checked as a Gram matrix at the public boundary,
     so a non-Hermitian one is rejected there. Past that check, overlaps
@@ -636,7 +644,7 @@ def test_doubled_emissions_match_expanded_placements(
     circuits = purifier_circuits(r1, r2, r_final, transmissions, loss_stage)
     for modes, s, pattern in (((0, 5), _raw_gram(s4), COINCIDENCE_PATTERN),
                               ((0, 1, 4, 5), s4, HERALDED_PATTERN)):
-        got = _mixture_probabilities(circuits, s, r_final, p2)
+        got = _mixture_probabilities(circuits, [s], r_final, p2)[0]
         want = [expanded_mixture_probability(c, modes, s, pattern, p2) for c in circuits]
         assert got == pytest.approx(want, rel=0, abs=1e-13)
 
