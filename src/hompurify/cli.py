@@ -229,13 +229,7 @@ def cmd_sweep(args) -> int:
         rows = protocol.bs_sweep(kind.split("_")[0], grid, c, g2=g2)
     elif kind == "g2":
         grid = _grid(config, context, _G2)
-        c = _overlap(config, context, required=True)
-        rows = []
-        for g2 in grid:
-            v_raw, v_pure = protocol.multiphoton_visibility(c, float(g2))
-            rows.append(
-                {"g2": float(g2), "v_raw": v_raw, "v_pure": v_pure, "improvement": v_pure - v_raw}
-            )
+        rows = protocol.g2_sweep(grid, _overlap(config, context, required=True))
     else:
         raise ConfigError(
             f"{context}: unknown sweep {kind!r} "

@@ -306,18 +306,19 @@ def _raw_gram(s4: np.ndarray) -> np.ndarray:
     return np.array([[1.0, s4[0, 3]], [s4[3, 0], 1.0]], dtype=complex)
 
 
-def _visibilities(grams, config: NoiseConfig) -> list[float]:
+def _visibilities(grams, config: NoiseConfig, circuits=None) -> list[float]:
     """1 - 2 P_out / P_ref for each Gram matrix of `grams` (2 x 2 raw,
     4 x 4 purified) under `config`. At g2 = 0 this is the closed form
-    `_hom(r_final, W)` and no circuit is built; above, the circuits are
-    built once for all of `grams`, and each size of Gram matrix is one
-    `_mixture_probabilities` call."""
+    `_hom(r_final, W)` and no circuit is built; above, the circuits of
+    `config` (`circuits` when a caller already built them) serve all of
+    `grams`, and each size of Gram matrix is one `_mixture_probabilities`
+    call."""
     p2 = p2_from_g2(config.g2)
     if p2 == 0.0:
         if not _heralds(config):
             raise ValueError(_DEGENERATE)
         return [_hom(config.r_final, w) for w, _ in _heralded_overlaps(grams)]
-    circuits = purifier_circuits(
+    circuits = circuits or purifier_circuits(
         config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
     )
     visibilities = {}
@@ -368,7 +369,57 @@ def bs_sweep(which: str, reflectivities, c: float, g2: float = 0.0) -> list[dict
     return rows
 
 
+def g2_sweep(g2s, c: float) -> list[dict]:
+    """Raw/purified visibilities and their difference versus g2 at constant
+    overlap `c`, balanced lossless couplers. The Gram matrices and the
+    circuits do not depend on g2, so they are built once; each row has the
+    bits of `multiphoton_visibility(c, g2)`."""
+    s4 = constant_overlap_S(4, c).entries
+    grams = (_raw_gram(s4), s4)
+    circuits = purifier_circuits(0.5, 0.5, 0.5)
+    rows = []
+    for g2 in g2s:
+        v_raw, v_pure = _visibilities(grams, NoiseConfig(g2=float(g2)), circuits)
+        rows.append({"g2": float(g2), "v_raw": v_raw, "v_pure": v_pure,
+                     "improvement": v_pure - v_raw})
+    return rows
+
+
 SWEEP_MODELS = ("multipermanent", "pure_dephasing", "multipermanent_g2")
+
+# First-kind Chebyshev nodes of degree 8 on c in [0, 1] and their barycentric
+# weights: on the balanced purifier at fixed p2, P_out and P_ref are
+# polynomials of degree <= 8 in c (`_g2_column`).
+_NODE_ANGLES = (2 * np.arange(9) + 1) * np.pi / 18
+_C_NODES = 0.5 + 0.5 * np.cos(_NODE_ANGLES)
+_C_WEIGHTS = (-1.0) ** np.arange(9) * np.sin(_NODE_ANGLES)
+
+
+def _g2_column(cs: list[float], p2: float) -> list[float]:
+    """Purified visibility at constant overlap c, for each c of `cs` in
+    [0, 1], on the balanced lossless purifier at two-photon emission
+    probability `p2` > 0.
+
+    The Gram matrix (1 - c) I + c J is affine in c and every permanent has
+    at most 8 rows once a photon is doubled, so P_out and P_ref are
+    polynomials of degree <= 8 in c: one `_mixture_probabilities` call at
+    the 9 nodes fixes both, and barycentric interpolation gives them at
+    each c, a node itself taking its own value (notes/decisions.md, "The
+    sweep's g2 column as a polynomial in c"). The weighted sums are numpy
+    reductions, not BLAS products."""
+    nodes = [constant_overlap_S(4, c).entries for c in _C_NODES]
+    at_nodes = _mixture_probabilities(purifier_circuits(0.5, 0.5, 0.5), nodes, 0.5, p2)
+    gaps = np.subtract.outer(np.asarray(cs), _C_NODES)
+    hits = gaps == 0.0
+    gaps[hits] = 1.0
+    q = _C_WEIGHTS / gaps
+    p = (q[:, :, None] * at_nodes).sum(axis=1) / q.sum(axis=1)[:, None]
+    row, node = hits.nonzero()
+    p[row] = at_nodes[node]
+    p_out, p_ref = p.T
+    if (p_ref <= 0.0).any():
+        raise ValueError(_DEGENERATE)
+    return (1.0 - 2.0 * p_out / p_ref).tolist()
 
 
 def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
@@ -376,22 +427,33 @@ def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
     `SWEEP_MODELS`: the constant-overlap circuit at c = sqrt(v_raw)
     without (`multipermanent`) and with (`multipermanent_g2`) doubled
     emissions at `g2`, and the pure-dephasing closed form at
-    x = 1 / v_raw - 1. Each circuit column is one `_visibilities` call on
-    every grid point's purified Gram matrix, so the circuits are built
-    once per sweep; the values are those of `purified_visibility` and
-    `multiphoton_visibility` row by row."""
+    x = 1 / v_raw - 1. Every `v_raw` must lie in [0, 1], in (0, 1] when
+    `pure_dephasing` is listed.
+
+    The `multipermanent` column, and the g2 column at g2 = 0, is one
+    closed-form `_visibilities` call on every grid point's Gram matrix,
+    with the bits of `purified_visibility(c)[1]`. At g2 > 0 the g2 column
+    is interpolated from 9 Chebyshev nodes in c (`_g2_column`), within
+    1e-14 of `multiphoton_visibility(c, g2)[1]` row by row."""
     for model in models:
         if model not in SWEEP_MODELS:
             raise ValueError(f"unknown sweep model {model!r}")
     v_raws = [float(v) for v in v_raws]
-    grams = [constant_overlap_S(4, sqrt(v)).entries for v in v_raws]
+    dephasing = "pure_dephasing" in models
+    for v in v_raws:
+        if not (0.0 < v <= 1.0 if dephasing else 0.0 <= v <= 1.0):
+            span = "(0, 1] for the pure_dephasing model" if dephasing else "[0, 1]"
+            raise ValueError(f"v_raw must be in {span}, got {v!r}")
+    cs = [sqrt(v) for v in v_raws]
     columns = {}
     for model in dict.fromkeys(models):
         if model == "pure_dephasing":
             columns[model] = [pd_purified(1.0 / v - 1.0) for v in v_raws]
+        elif model == "multipermanent_g2" and g2 != 0.0:
+            columns[model] = _g2_column(cs, p2_from_g2(g2))
         else:
-            config = NoiseConfig(g2=g2 if model == "multipermanent_g2" else 0.0)
-            columns[model] = _visibilities(grams, config)
+            grams = [constant_overlap_S(4, c).entries for c in cs]
+            columns[model] = _visibilities(grams, NoiseConfig())
     return [
         {"v_raw": v, **{f"v_pure_{model}": column[i] for model, column in columns.items()}}
         for i, v in enumerate(v_raws)

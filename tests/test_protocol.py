@@ -1,5 +1,6 @@
 import decimal
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hompurify import (
     multipermanent,
     output_probability,
     p2_from_g2,
+    pd_purified,
     polarization_bounds,
     purified_visibility,
     purifier_circuits,
@@ -254,8 +256,8 @@ def test_bs_sweep_final_degrades():
 
 
 def test_raw_visibility_sweep_matches_per_row_calls():
-    """The batched sweep builds the circuits once and keeps the bits of
-    the per-row calls on the README grid."""
+    """On the README grid the sweep keeps the bits of the per-row calls,
+    except the g2 column, which is interpolated in c from 9 nodes."""
     grid = np.linspace(0.5, 1.0, 51)
     rows = raw_visibility_sweep(grid, ["multipermanent", "pure_dephasing", "multipermanent_g2"],
                                 0.07)
@@ -264,12 +266,74 @@ def test_raw_visibility_sweep_matches_per_row_calls():
         c = float(np.sqrt(v))
         assert row["v_raw"] == float(v)
         assert row["v_pure_multipermanent"] == purified_visibility(c)[1]
-        assert row["v_pure_multipermanent_g2"] == multiphoton_visibility(c, 0.07)[1]
+        assert row["v_pure_multipermanent_g2"] == pytest.approx(
+            multiphoton_visibility(c, 0.07)[1], rel=0, abs=1e-13)
     # columns follow the first listing of each model
     rows = raw_visibility_sweep([0.8], ["multipermanent_g2", "multipermanent_g2"], 0.07)
     assert list(rows[0]) == ["v_raw", "v_pure_multipermanent_g2"]
     with pytest.raises(ValueError, match="unknown sweep model"):
         raw_visibility_sweep([0.8], ["nope"], 0.0)
+
+
+def _chebyshev_g2_column(cs, g2: float, n_nodes: int) -> np.ndarray:
+    """The sweep's g2 column rebuilt apart from `src/`: P_out and P_ref at
+    `n_nodes` first-kind Chebyshev nodes on [0, 1], each fitted by numpy's
+    Chebyshev series of degree n_nodes - 1 and evaluated at `cs`."""
+    nodes = 0.5 + 0.5 * np.cos((2 * np.arange(n_nodes) + 1) * np.pi / (2 * n_nodes))
+    grams = [constant_overlap_S(4, c).entries for c in nodes]
+    at_nodes = _mixture_probabilities(purifier_circuits(0.5, 0.5, 0.5), grams, 0.5,
+                                      p2_from_g2(g2))
+    p_out, p_ref = (np.polynomial.Chebyshev.fit(nodes, at_nodes[:, i], n_nodes - 1,
+                                                domain=[0, 1])(cs) for i in (0, 1))
+    return 1.0 - 2.0 * p_out / p_ref
+
+
+_FULL_GRID = np.linspace(0.0, 1.0, 101)
+
+
+@pytest.mark.parametrize("g2", [0.01, 0.07, 0.2, 0.49])
+def test_raw_visibility_sweep_g2_column_matches_per_row_calls(g2):
+    """The interpolated g2 column over the whole range of v_raw, with the
+    grid ends and v_raw = 0.25 (c = 0.5, the middle node, where the
+    barycentric formula would divide by zero)."""
+    assert {0.0, 0.25, 1.0} <= set(_FULL_GRID.tolist())
+    rows = raw_visibility_sweep(_FULL_GRID, ["multipermanent_g2"], g2)
+    per_row = [multiphoton_visibility(float(np.sqrt(v)), g2)[1] for v in _FULL_GRID]
+    assert [row["v_pure_multipermanent_g2"] for row in rows] == pytest.approx(
+        per_row, rel=0, abs=1e-13)
+    assert _chebyshev_g2_column(np.sqrt(_FULL_GRID), g2, 9) == pytest.approx(
+        per_row, rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("g2", [0.07, 0.2, 0.49])
+def test_g2_column_needs_degree_8_in_c(g2):
+    """Eight nodes miss the column (by 8.3e-12 at g2 = 0.07), so its
+    degree in c is 8. At g2 = 0.01 the degree-8 part is below rounding."""
+    per_row = np.array([multiphoton_visibility(float(np.sqrt(v)), g2)[1] for v in _FULL_GRID])
+    assert np.abs(_chebyshev_g2_column(np.sqrt(_FULL_GRID), g2, 8) - per_row).max() > 1e-12
+
+
+@pytest.mark.parametrize("models, v", [
+    (["pure_dephasing"], 0.0),
+    (["multipermanent", "pure_dephasing"], -0.1),
+    (["multipermanent"], -0.1),
+    (["multipermanent_g2"], -1e-300),
+    (["multipermanent_g2"], 1.2),
+    (["multipermanent", "pure_dephasing", "multipermanent_g2"], 1.0000000000000002),
+    (["multipermanent"], float("nan")),
+    (["pure_dephasing"], float("nan")),
+])
+def test_raw_visibility_sweep_rejects_grid_values_outside_its_range(models, v):
+    span = r"\(0, 1\]" if "pure_dephasing" in models else r"\[0, 1\]"
+    with pytest.raises(ValueError, match=rf"v_raw must be in {span}.*, got {re.escape(repr(v))}$"):
+        raw_visibility_sweep([0.5, v], models, 0.07)
+
+
+def test_raw_visibility_sweep_takes_the_ends_of_its_range():
+    rows = raw_visibility_sweep([0.0, 1.0], ["multipermanent", "multipermanent_g2"], 0.07)
+    assert [row["v_pure_multipermanent"] for row in rows] == [0.0, 1.0]
+    rows = raw_visibility_sweep([1.0], ["pure_dephasing"], 0.0)
+    assert rows == [{"v_raw": 1.0, "v_pure_pure_dephasing": pd_purified(0.0)}]
 
 
 def test_uniform_input_loss_leaves_visibilities():
