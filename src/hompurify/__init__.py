@@ -40,6 +40,7 @@ from .protocol import (
     Scenario,
     bs_sweep,
     evaluate_scenario,
+    evaluate_scenarios,
     g2_sweep,
     hom_visibility,
     multiphoton_visibility,

@@ -181,7 +181,7 @@ def cmd_simulate(args) -> int:
     if not (isinstance(entries, list) and entries):
         raise ConfigError(f"{args.config}: 'scenarios' must be a non-empty list of scenarios")
     scenarios = [_scenario_from(e, i) for i, e in enumerate(entries)]
-    rows = [protocol.evaluate_scenario(s) for s in scenarios]
+    rows = protocol.evaluate_scenarios(scenarios)
     write_rows(rows, config, args.out, args.format)
     return EXIT_OK
 

@@ -78,11 +78,20 @@ class PolarizationState:
 def constant_overlap_S(n: int, c: float) -> DistinguishabilityMatrix:
     """Gram matrix with every off-diagonal overlap equal to `c`: identical
     indistinguishable components of weight c, mutually orthogonal rest."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {c}")
-    s = np.full((n, n), complex(c))
-    np.fill_diagonal(s, 1.0)
-    return DistinguishabilityMatrix(s)
+    return DistinguishabilityMatrix(_constant_overlap_grams(n, [c])[0])
+
+
+def _constant_overlap_grams(n: int, cs) -> np.ndarray:
+    """Unchecked stack (g, n, n) of `constant_overlap_S(n, c)` for each of
+    g overlaps `cs`, each in [0, 1]."""
+    cs = np.asarray(cs, dtype=float)
+    outside = ~((0.0 <= cs) & (cs <= 1.0))
+    if outside.any():
+        raise ValueError(f"overlap must be in [0, 1], got {cs[outside][0]}")
+    s = np.empty((len(cs), n, n), dtype=complex)
+    s[...] = cs[:, None, None]
+    s[:, range(n), range(n)] = 1.0
+    return s
 
 
 def dephasing_overlap(params: DephasingParams) -> float:
@@ -93,13 +102,24 @@ def dephasing_overlap(params: DephasingParams) -> float:
 
 def polarization_S(states) -> DistinguishabilityMatrix:
     """Gram matrix of a list of polarization states, one per photon."""
-    n = len(states)
-    s = np.eye(n, dtype=complex)
-    for j in range(n):
-        for k in range(j + 1, n):
-            s[j, k] = states[j].overlap(states[k])
-            s[k, j] = np.conj(s[j, k])
-    return DistinguishabilityMatrix(s)
+    h = np.array([[state.amplitude_h for state in states]])
+    v = np.array([[state.amplitude_v for state in states]])
+    return DistinguishabilityMatrix(_polarization_grams(h, v)[0])
+
+
+def _polarization_grams(h, v) -> np.ndarray:
+    """Unchecked stack (g, n, n) of the Gram matrices of g sets of n
+    polarization states with amplitudes `h` and `v` (g, n): overlaps
+    conj(h_j) h_k + conj(v_j) v_k for j < k, their conjugates below the
+    diagonal and exact ones on it. Real amplitudes (linear states) give
+    the real overlaps cos_j cos_k + sin_j sin_k."""
+    s = (np.conj(h)[:, :, None] * h[:, None, :] + np.conj(v)[:, :, None] * v[:, None, :])
+    s = s.astype(complex)
+    n = s.shape[-1]
+    j, k = np.triu_indices(n, 1)
+    s[:, k, j] = s[:, j, k].conj()
+    s[:, range(n), range(n)] = 1.0
+    return s
 
 
 def _gram_chunk(phi, det_phase, density, out):

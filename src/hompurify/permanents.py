@@ -193,23 +193,9 @@ class DistinguishabilityMatrix:
 
     def __init__(self, entries):
         s = np.asarray(entries, dtype=complex)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        if s.ndim != 2:
             raise ValueError("Gram matrix must be square")
-        if not np.isfinite(s).all():
-            raise ValueError("Gram matrix entries must be finite")
-        # absolute, at the tolerance every detection probability is held
-        # real to: a larger asymmetry would pass here and fail in the
-        # kernels, and a larger diagonal defect would silently shift them
-        if not (np.abs(s - s.conj().T) <= REAL_TOL).all():
-            raise ValueError("Gram matrix must be Hermitian")
-        if not (np.abs(s.diagonal() - 1.0) <= REAL_TOL).all():
-            raise ValueError("Gram matrix must have unit diagonal")
-        if np.any(np.abs(s) > 1 + 1e-10):
-            raise ValueError("overlap magnitudes cannot exceed 1")
-        if s.shape[0] > 1:
-            min_eig = float(np.linalg.eigvalsh(s)[0])
-            if min_eig < -PSD_TOL:
-                raise ValueError(f"Gram matrix is not PSD (min eigenvalue {min_eig:.3e})")
+        _checked_grams(s[None])
         object.__setattr__(self, "entries", s)
 
     @property
@@ -220,6 +206,35 @@ class DistinguishabilityMatrix:
         return isinstance(other, DistinguishabilityMatrix) and np.array_equal(
             self.entries, other.entries
         )
+
+
+def _checked_grams(s) -> np.ndarray:
+    """A stack of Gram matrices (g, n, n) as a complex array, each one
+    checked as `DistinguishabilityMatrix` documents: finite, Hermitian,
+    unit diagonal, |entries| <= 1 and, by one batched `eigvalsh`, PSD. A
+    stack whose k-th matrix is bad raises the message that matrix raises
+    alone."""
+    s = np.asarray(s, dtype=complex)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise ValueError("Gram matrix must be square")
+    if not np.isfinite(s).all():
+        raise ValueError("Gram matrix entries must be finite")
+    # absolute, at the tolerance every detection probability is held
+    # real to: a larger asymmetry would pass here and fail in the
+    # kernels, and a larger diagonal defect would silently shift them
+    if not (np.abs(s - s.conj().transpose(0, 2, 1)) <= REAL_TOL).all():
+        raise ValueError("Gram matrix must be Hermitian")
+    if not (np.abs(s.diagonal(axis1=1, axis2=2) - 1.0) <= REAL_TOL).all():
+        raise ValueError("Gram matrix must have unit diagonal")
+    if np.any(np.abs(s) > 1 + 1e-10):
+        raise ValueError("overlap magnitudes cannot exceed 1")
+    if s.shape[1] > 1:
+        min_eigs = np.linalg.eigvalsh(s)[:, 0]
+        low = min_eigs < -PSD_TOL
+        if low.any():
+            min_eig = float(min_eigs[low.argmax()])
+            raise ValueError(f"Gram matrix is not PSD (min eigenvalue {min_eig:.3e})")
+    return s
 
 
 def _as_gram(s) -> np.ndarray:

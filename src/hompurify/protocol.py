@@ -46,11 +46,12 @@ import numpy as np
 
 from .circuits import LOSS_STAGES, TransferMatrix, purifier_circuits
 from .dephasing import pd_purified
-from .distinguishability import constant_overlap_S, polarization_S, PolarizationState
+from .distinguishability import _constant_overlap_grams, _polarization_grams, constant_overlap_S
 from .fock import AssignmentList, ClickPattern, FockState
 from .permanents import (
     DistinguishabilityMatrix,
     _as_gram,
+    _checked_grams,
     _clicked_subset_sums,
     _effective_gram,
     _input_norm,
@@ -215,39 +216,55 @@ def p2_from_g2(g2: float) -> float:
     return g2 / (1.0 - g2 + sqrt(1.0 - 2.0 * g2))
 
 
-def _hom(r_final: float, w: float) -> float:
+def _hom(r_final, w):
     """Visibility 4R(1 - R)(1 + W) - 1 of two photons with state overlap W,
-    one in each input of a coupler of reflectivity R."""
-    r = float(r_final)
-    return 4.0 * r * (1.0 - r) * (1.0 + w) - 1.0
+    one in each input of a coupler of reflectivity R; R and W may be
+    arrays of one shape, or R a number."""
+    return 4.0 * r_final * (1.0 - r_final) * (1.0 + w) - 1.0
 
 
-def _heralded_overlaps(grams) -> list[tuple[float, float]]:
-    """(W, N) of each Gram matrix in `grams`: the state overlap W of the two
-    photons that meet at the final coupler at g2 = 0, and the norm
-    N = Tr(S_AA^2) Tr(S_BB^2) of the heralded state, for photons whose
-    first half is copy A's and second half copy B's:
+def _heralded_overlaps(grams) -> tuple[np.ndarray, np.ndarray]:
+    """(W, N), each of shape (g,), of a stack of Gram matrices (g, 2k, 2k):
+    the state overlap W of the two photons that meet at the final coupler
+    at g2 = 0, and the norm N = Tr(S_AA^2) Tr(S_BB^2) of the heralded
+    state, for photons whose first half is copy A's and second half copy
+    B's:
 
         W = Tr(S_AA S_AB S_BB S_BA) / N.
 
-    With one photon per copy (the raw test) W = S_01 S_10 and N = 1. The
-    traces are summed in Python: the blocks are at most 2 x 2, where numpy
-    calls cost more than the arithmetic. Both traces pass the non-real
-    check of every detection probability, so a non-Hermitian matrix
-    raises."""
-    terms = []
-    for s in grams:
-        rows = s.tolist()
-        k = len(rows) // 2
-        a, b = range(k), range(k, 2 * k)
-        ab = [[sum(rows[i][h] * rows[h][j] for h in a) for j in b] for i in a]  # S_AA S_AB
-        ba = [[sum(rows[j][h] * rows[h][i] for h in b) for i in a] for j in b]  # S_BB S_BA
-        trace = sum(ab[i][j] * ba[j][i] for i in range(k) for j in range(k))
-        norm = (sum(rows[i][j] * rows[j][i] for i in a for j in a)
-                * sum(rows[i][j] * rows[j][i] for i in b for j in b))
-        terms.append((trace, norm))
-    checked = _real_part(np.array(terms), "detection probability").tolist()
-    return [(trace / norm, norm) for trace, norm in checked]
+    With one photon per copy (the raw test) W = S_01 S_10 and N = 1. Each
+    product and sum is one numpy operation on a column of the stack (entry
+    [i, j] of every matrix), taken in the order of the per-matrix loop
+    over i, j and h. Complex products are formed from real and imaginary
+    parts, each of the four real products rounded on its own, as CPython
+    rounds a complex product; numpy's complex multiply may fuse them. So
+    each W and N has the bits of that loop in Python complex arithmetic.
+    Both traces pass the non-real check of every detection probability,
+    so a non-Hermitian matrix raises."""
+    s = np.asarray(grams)
+    k = s.shape[-1] // 2
+    a, b = range(k), range(k, 2 * k)
+    z = [[(s.real[:, i, j], s.imag[:, i, j]) for j in range(2 * k)] for i in range(2 * k)]
+    ab = [[_total(_times(z[i][h], z[h][j]) for h in a) for j in b] for i in a]  # S_AA S_AB
+    ba = [[_total(_times(z[j][h], z[h][i]) for h in b) for i in a] for j in b]  # S_BB S_BA
+    trace = _total(_times(ab[i][j], ba[j][i]) for i in range(k) for j in range(k))
+    norm = _times(_total(_times(z[i][j], z[j][i]) for i in a for j in a),
+                  _total(_times(z[i][j], z[j][i]) for i in b for j in b))
+    values = np.empty((2, len(s)), dtype=complex)
+    values.real, values.imag = (trace[0], norm[0]), (trace[1], norm[1])
+    trace, norm = _real_part(values, "detection probability")
+    return trace / norm, norm
+
+
+def _times(x, y):
+    """Product of two complex columns held as (real, imaginary) pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _total(terms):
+    """Sum of (real, imaginary) pairs, in order from 0 as Python's `sum`."""
+    re, im = zip(*terms)
+    return sum(re), sum(im)
 
 
 def _heralds(config: NoiseConfig) -> bool:
@@ -264,8 +281,8 @@ def _heralds(config: NoiseConfig) -> bool:
 def _mixture_probabilities(
     circuits: tuple[TransferMatrix, TransferMatrix], grams, r_final: float, p2: float
 ) -> np.ndarray:
-    """(P_out, P_ref), shape (g, 2), of the photons of each of g Gram
-    matrices `grams`, all 2 x 2 (raw test) or all 4 x 4 (purified), through
+    """(P_out, P_ref), shape (g, 2), of the photons of each matrix of a
+    stack of Gram matrices `grams`, 2 x 2 (raw test) or 4 x 4 (purified), through
     the purifier circuits (`out`, `ref`) under the two-photon mixture.
 
     Each of the N base photons independently carries a doubled emission
@@ -285,16 +302,17 @@ def _mixture_probabilities(
     (`permanents._clicked_subset_sums` with the emission weights). K and
     the H_T stack are formed once for all of `grams`.
     """
-    if len(grams[0]) == 2:
+    grams = np.asarray(grams)
+    if grams.shape[-1] == 2:
         modes, pattern, reached = RAW_INPUT_MODES, COINCIDENCE_PATTERN, (2, 3)
     else:
         modes, pattern, reached = PURIFIER_INPUT_MODES, HERALDED_PATTERN, (1, 2, 3, 4)
     k = float(np.prod(np.abs(circuits[1].matrix[reached, modes]) ** 2))
-    singles = np.array([[norm * k * (1.0 - _hom(r_final, w)) / 2.0, norm * k]
-                        for w, norm in _heralded_overlaps(grams)])
+    w, norm = _heralded_overlaps(grams)
+    singles = np.stack([norm * k * (1.0 - _hom(r_final, w)) / 2.0, norm * k], axis=1)
     u_in = np.stack([circuit.matrix[:, modes] for circuit in circuits])
     doubled = _clicked_subset_sums(
-        u_in, np.asarray(grams), pattern.clicked_modes, pattern.silent_modes,
+        u_in, grams, pattern.clicked_modes, pattern.silent_modes,
         weights=(1.0 - p2, p2 / 2.0),
     )
     return (1.0 - p2) ** len(modes) * singles + doubled
@@ -302,34 +320,35 @@ def _mixture_probabilities(
 
 def _raw_gram(s4: np.ndarray) -> np.ndarray:
     """Gram matrix of the raw test's photons: entries 0 and 3 of the
-    four-photon one, with a unit diagonal."""
-    return np.array([[1.0, s4[0, 3]], [s4[3, 0], 1.0]], dtype=complex)
+    four-photon one, with a unit diagonal; a stack (g, 4, 4) gives a
+    stack (g, 2, 2)."""
+    raw = np.ones(s4.shape[:-2] + (2, 2), dtype=complex)
+    raw[..., 0, 1], raw[..., 1, 0] = s4[..., 0, 3], s4[..., 3, 0]
+    return raw
 
 
-def _visibilities(grams, config: NoiseConfig, circuits=None) -> list[float]:
-    """1 - 2 P_out / P_ref for each Gram matrix of `grams` (2 x 2 raw,
-    4 x 4 purified) under `config`. At g2 = 0 this is the closed form
+def _visibilities(stacks, config: NoiseConfig, circuits=None) -> list[np.ndarray]:
+    """1 - 2 P_out / P_ref of each matrix of each checked stack of Gram
+    matrices in `stacks`, (g, 2, 2) raw or (g, 4, 4) purified, under
+    `config`: one array per stack. At g2 = 0 this is the closed form
     `_hom(r_final, W)` and no circuit is built; above, the circuits of
-    `config` (`circuits` when a caller already built them) serve all of
-    `grams`, and each size of Gram matrix is one `_mixture_probabilities`
-    call."""
+    `config` (`circuits` when a caller already built them) serve every
+    stack, one `_mixture_probabilities` call each."""
     p2 = p2_from_g2(config.g2)
     if p2 == 0.0:
         if not _heralds(config):
             raise ValueError(_DEGENERATE)
-        return [_hom(config.r_final, w) for w, _ in _heralded_overlaps(grams)]
+        return [_hom(config.r_final, _heralded_overlaps(s)[0]) for s in stacks]
     circuits = circuits or purifier_circuits(
         config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
     )
-    visibilities = {}
-    for size in {len(s) for s in grams}:
-        index = [i for i, s in enumerate(grams) if len(s) == size]
-        p_out, p_ref = _mixture_probabilities(circuits, [grams[i] for i in index],
-                                              config.r_final, p2).T
+    visibilities = []
+    for s in stacks:
+        p_out, p_ref = _mixture_probabilities(circuits, s, config.r_final, p2).T
         if (p_ref <= 0.0).any():
             raise ValueError(_DEGENERATE)
-        visibilities.update(zip(index, (1.0 - 2.0 * p_out / p_ref).tolist()))
-    return [visibilities[i] for i in range(len(grams))]
+        visibilities.append(1.0 - 2.0 * p_out / p_ref)
+    return visibilities
 
 
 def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[float, float]:
@@ -343,9 +362,9 @@ def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[fl
     names degenerate heralding when they cannot. At g2 > 0 they read every
     field of `config` (`_mixture_probabilities`).
     """
-    s4 = _constant_or_matrix(c_or_s)
+    s4 = _constant_or_matrix(c_or_s)[None]
     v_raw, v_pure = _visibilities((_raw_gram(s4), s4), config)
-    return v_raw, v_pure
+    return float(v_raw[0]), float(v_pure[0])
 
 
 def multiphoton_visibility(
@@ -362,10 +381,13 @@ def bs_sweep(which: str, reflectivities, c: float, g2: float = 0.0) -> list[dict
     if which not in ("first", "second", "final"):
         raise ValueError("which must be 'first', 'second' or 'final'")
     key = {"first": "r1", "second": "r2", "final": "r_final"}[which]
+    s4 = _constant_or_matrix(c)[None]
+    stacks = (_raw_gram(s4), s4)
     rows = []
     for r in reflectivities:
-        v_raw, v_pure = purified_visibility(c, NoiseConfig(g2=g2, **{key: float(r)}))
-        rows.append({"reflectivity": float(r), "v_raw": v_raw, "v_pure": v_pure})
+        v_raw, v_pure = _visibilities(stacks, NoiseConfig(g2=g2, **{key: float(r)}))
+        rows.append({"reflectivity": float(r), "v_raw": float(v_raw[0]),
+                     "v_pure": float(v_pure[0])})
     return rows
 
 
@@ -374,12 +396,14 @@ def g2_sweep(g2s, c: float) -> list[dict]:
     overlap `c`, balanced lossless couplers. The Gram matrices and the
     circuits do not depend on g2, so they are built once; each row has the
     bits of `multiphoton_visibility(c, g2)`."""
-    s4 = constant_overlap_S(4, c).entries
-    grams = (_raw_gram(s4), s4)
+    s4 = constant_overlap_S(4, c).entries[None]
+    stacks = (_raw_gram(s4), s4)
     circuits = purifier_circuits(0.5, 0.5, 0.5)
     rows = []
     for g2 in g2s:
-        v_raw, v_pure = _visibilities(grams, NoiseConfig(g2=float(g2)), circuits)
+        v_raw, v_pure = (
+            float(v[0]) for v in _visibilities(stacks, NoiseConfig(g2=float(g2)), circuits)
+        )
         rows.append({"g2": float(g2), "v_raw": v_raw, "v_pure": v_pure,
                      "improvement": v_pure - v_raw})
     return rows
@@ -407,7 +431,7 @@ def _g2_column(cs: list[float], p2: float) -> list[float]:
     each c, a node itself taking its own value (notes/decisions.md, "The
     sweep's g2 column as a polynomial in c"). The weighted sums are numpy
     reductions, not BLAS products."""
-    nodes = [constant_overlap_S(4, c).entries for c in _C_NODES]
+    nodes = _checked_grams(_constant_overlap_grams(4, _C_NODES))
     at_nodes = _mixture_probabilities(purifier_circuits(0.5, 0.5, 0.5), nodes, 0.5, p2)
     gaps = np.subtract.outer(np.asarray(cs), _C_NODES)
     hits = gaps == 0.0
@@ -431,9 +455,9 @@ def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
     `pure_dephasing` is listed.
 
     The `multipermanent` column, and the g2 column at g2 = 0, is one
-    closed-form `_visibilities` call on every grid point's Gram matrix,
-    with the bits of `purified_visibility(c)[1]`. At g2 > 0 the g2 column
-    is interpolated from 9 Chebyshev nodes in c (`_g2_column`), within
+    closed-form `_visibilities` call on the checked stack of every grid
+    point's Gram matrix, with the bits of `purified_visibility(c)[1]`. At
+    g2 > 0 the g2 column is interpolated from 9 Chebyshev nodes in c (`_g2_column`), within
     1e-14 of `multiphoton_visibility(c, g2)[1]` row by row."""
     for model in models:
         if model not in SWEEP_MODELS:
@@ -452,8 +476,8 @@ def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
         elif model == "multipermanent_g2" and g2 != 0.0:
             columns[model] = _g2_column(cs, p2_from_g2(g2))
         else:
-            grams = [constant_overlap_S(4, c).entries for c in cs]
-            columns[model] = _visibilities(grams, NoiseConfig())
+            grams = _checked_grams(_constant_overlap_grams(4, cs))
+            columns[model] = _visibilities((grams,), NoiseConfig())[0].tolist()
     return [
         {"v_raw": v, **{f"v_pure_{model}": column[i] for model, column in columns.items()}}
         for i, v in enumerate(v_raws)
@@ -463,14 +487,20 @@ def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
 def polarization_scenario_S(theta_rad: float, direction: str) -> DistinguishabilityMatrix:
     """Gram matrix of four photons with one input per copy rotated by
     theta, either both the same way or mirrored."""
-    sign = {"same": 1.0, "opposite": -1.0}[direction]
-    states = [
-        PolarizationState.linear(theta_rad),
-        PolarizationState.linear(0.0),
-        PolarizationState.linear(sign * theta_rad),
-        PolarizationState.linear(0.0),
-    ]
-    return polarization_S(states)
+    return DistinguishabilityMatrix(_polarization_scenario_grams([theta_rad], [direction])[0])
+
+
+def _polarization_scenario_grams(thetas_rad, directions) -> np.ndarray:
+    """Unchecked stack of `polarization_scenario_S` for each angle of
+    `thetas_rad` with the direction of `directions` at the same place:
+    linear polarizations at theta, 0, +-theta and 0."""
+    theta = np.asarray(thetas_rad, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"polarization angle must be finite, got {theta[~np.isfinite(theta)][0]}")
+    sign = np.array([{"same": 1.0, "opposite": -1.0}[d] for d in directions])
+    zero = np.zeros_like(theta)
+    angles = np.stack([theta, zero, sign * theta, zero], axis=1)
+    return _polarization_grams(np.cos(angles), np.sin(angles))
 
 
 def polarization_bounds(thetas_deg, config: NoiseConfig | None = None) -> list[dict]:
@@ -484,37 +514,86 @@ def polarization_bounds(thetas_deg, config: NoiseConfig | None = None) -> list[d
     with u = cos^2 theta, deepest near 36.5 degrees; derivation in
     notes/decisions.md)."""
     thetas = [float(t) for t in thetas_deg]
-    grams = []
-    for theta_deg in thetas:
-        theta = np.deg2rad(theta_deg)
-        same, opposite = (polarization_scenario_S(theta, d).entries for d in ("same", "opposite"))
-        # the direction rotates photon 2 only, so the raw pair (photons 0 and 3)
-        # and its visibility are the same for both
-        grams += [_raw_gram(same), same, opposite]
-    v = _visibilities(grams, config or NoiseConfig())
+    same, opposite = (
+        _checked_grams(_polarization_scenario_grams(np.deg2rad(thetas), [d] * len(thetas)))
+        for d in ("same", "opposite")
+    )
+    # the direction rotates photon 2 only, so the raw pair (photons 0 and 3)
+    # and its visibility are the same for both
+    stacks = (_raw_gram(same), same, opposite)
+    v_raw, v_same, v_opposite = (
+        v.tolist() for v in _visibilities(stacks, config or NoiseConfig())
+    )
     return [
-        {"theta_deg": theta_deg, "v_raw": v[3 * i],
-         "v_pure_same": v[3 * i + 1], "v_pure_opposite": v[3 * i + 2]}
+        {"theta_deg": theta_deg, "v_raw": v_raw[i],
+         "v_pure_same": v_same[i], "v_pure_opposite": v_opposite[i]}
         for i, theta_deg in enumerate(thetas)
     ]
 
 
+def evaluate_scenarios(scenarios) -> list[dict]:
+    """One result row (raw, purified, improvement, success probability) per
+    Scenario, in order; drives the CLI simulate command. The table is
+    evaluated as arrays (`_table_visibilities`). A numerical failure names
+    the first row that fails alone, as scenario[i] with its id."""
+    scenarios = list(scenarios)
+    try:
+        visibilities = _table_visibilities(scenarios)
+    except ValueError:
+        for i, scenario in enumerate(scenarios):
+            try:
+                _table_visibilities([scenario])
+            except ValueError as exc:
+                raise ValueError(f"scenario[{i}] (id {scenario.scenario_id!r}): {exc}") from exc
+        raise
+    p_success = success_probability(2)
+    return [
+        {"scenario_id": scenario.scenario_id, "model": scenario.model, "v_raw": v_raw,
+         "v_pure": v_pure, "improvement": v_pure - v_raw, "success_probability": p_success}
+        for scenario, (v_raw, v_pure) in zip(scenarios, visibilities)
+    ]
+
+
+def _table_visibilities(scenarios: list[Scenario]) -> list[list[float]]:
+    """[v_raw, v_pure] of each Scenario, with the bits of its own
+    `purified_visibility`. The constant and polarization rows share one
+    checked stack of Gram matrices. At g2 = 0 they are one closed form
+    `_hom(r_final, W)` over the stack; above, the rows of each distinct
+    NoiseConfig are one `_visibilities` call on its circuits. Pure
+    dephasing rows are their closed forms."""
+    visibilities = np.empty((len(scenarios), 2))
+    model = {m: [i for i, s in enumerate(scenarios) if s.model == m]
+             for m in ("constant", "polarization", "pure_dephasing")}
+    for i in model["pure_dephasing"]:
+        x = scenarios[i].x
+        visibilities[i] = 1.0 / (1.0 + x), pd_purified(x)
+    rows = model["constant"] + model["polarization"]  # the scenario of each Gram matrix
+    polarized = [scenarios[i] for i in model["polarization"]]
+    s4 = _checked_grams(np.concatenate([
+        _constant_overlap_grams(4, [scenarios[i].c for i in model["constant"]]),
+        _polarization_scenario_grams(np.deg2rad([s.theta_deg for s in polarized]),
+                                     [s.direction for s in polarized]),
+    ]))
+    raw = _raw_gram(s4)
+    configs = [scenarios[i].noise for i in rows]
+    zero, groups = [], {}
+    for j, config in enumerate(configs):
+        if p2_from_g2(config.g2) == 0.0:
+            if not _heralds(config):
+                raise ValueError(_DEGENERATE)
+            zero.append(j)
+        else:
+            groups.setdefault(config, []).append(j)
+    r_final = np.array([configs[j].r_final for j in zero])
+    for column, stack in enumerate((raw, s4)):
+        w = _heralded_overlaps(stack[zero])[0]
+        visibilities[[rows[j] for j in zero], column] = _hom(r_final, w)
+    for config, group in groups.items():
+        v_raw, v_pure = _visibilities((raw[group], s4[group]), config)
+        visibilities[[rows[j] for j in group]] = np.stack([v_raw, v_pure], axis=1)
+    return visibilities.tolist()
+
+
 def evaluate_scenario(scenario: Scenario) -> dict:
-    """One result row (raw, purified, improvement, success probability) for
-    a Scenario; drives the CLI simulate command."""
-    if scenario.model == "constant":
-        v_raw, v_pure = purified_visibility(scenario.c, scenario.noise)
-    elif scenario.model == "pure_dephasing":
-        v_raw = 1.0 / (1.0 + scenario.x)
-        v_pure = pd_purified(scenario.x)
-    else:
-        s4 = polarization_scenario_S(np.deg2rad(float(scenario.theta_deg)), scenario.direction)
-        v_raw, v_pure = purified_visibility(s4, scenario.noise)
-    return {
-        "scenario_id": scenario.scenario_id,
-        "model": scenario.model,
-        "v_raw": v_raw,
-        "v_pure": v_pure,
-        "improvement": v_pure - v_raw,
-        "success_probability": success_probability(2),
-    }
+    """`evaluate_scenarios` of one Scenario."""
+    return evaluate_scenarios([scenario])[0]

@@ -90,6 +90,37 @@ def test_simulate_degenerate_heralding_at_nonzero_g2(tmp_path, capsys):
     assert "degenerate heralding" in err
 
 
+@pytest.mark.parametrize("g2", [0.0, 0.05])
+def test_simulate_numerical_failure_names_the_row(tmp_path, capsys, g2):
+    """A degenerate row in the middle of a table names its index and id,
+    in the closed form (g2 = 0) and on the mixture path."""
+    config = write_json(tmp_path, "sim.json", {"scenarios": [
+        {"id": "fine", "model": "constant", "c": 0.9, "g2": g2},
+        {"id": "dark", "model": "constant", "c": 0.9, "g2": g2, "reflectivities": [0, 0.5, 0.5]},
+        {"id": "pd", "model": "pure_dephasing", "x": 0.2},
+    ]})
+    code, out, err = run_cli(capsys, "simulate", "--config", config)
+    assert code == 3 and out == ""
+    assert "scenario[1] (id 'dark'): " in err and "degenerate heralding" in err
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_output_bytes_are_pinned(tmp_path, capsys, fmt):
+    """`simulate` on the README scenarios and a fixed mixed table of 60
+    rows writes the committed bytes. The table mixes constant rows (input
+    loss, loss after the first couplers), polarization rows in both
+    directions, pure-dephasing rows, several r_final, and g2 > 0 rows that
+    share a noise configuration or have their own."""
+    out = tmp_path / f"rows.{fmt}"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(DATA / "simulate_golden.config.json"),
+                           "--out", str(out), "--format", fmt)
+    assert code == 0, err
+    assert out.read_bytes() == (DATA / f"simulate_golden.{fmt}").read_bytes()
+
+
 def test_simulate_missing_config_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "absent.json"))
     assert code == 2

@@ -211,6 +211,35 @@ def test_gram_matrix_validation():
     assert s.n == 3
 
 
+def test_gram_stack_check_names_each_defect_like_one_matrix():
+    """`_checked_grams` on a stack whose k-th matrix fails one of the five
+    checks raises the message `DistinguishabilityMatrix` raises on that
+    matrix alone, the PSD one with that matrix's eigenvalue; a good stack
+    passes unchanged."""
+    good = constant_overlap_S(3, 0.5).entries
+    not_finite = good.copy()
+    not_finite[2, 1] = np.nan
+    not_hermitian = good.copy()
+    not_hermitian[0, 1] = 0.5 + 1e-6j
+    off_diagonal = good.copy()
+    off_diagonal[1, 1] = 1.0 - 1e-6
+    too_large = good.copy()
+    too_large[0, 2] = too_large[2, 0] = 1.2
+    not_psd = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1]], dtype=complex)
+    for bad in (not_finite, not_hermitian, off_diagonal, too_large, not_psd):
+        with pytest.raises(ValueError) as alone:
+            DistinguishabilityMatrix(bad)
+        for k in (0, 2, 4):
+            stack = np.stack([good] * 5)
+            stack[k] = bad
+            with pytest.raises(ValueError) as stacked:
+                permanents._checked_grams(stack)
+            assert str(stacked.value) == str(alone.value)
+    assert "min eigenvalue -1.000e+00" in str(alone.value)
+    stack = np.stack([good, constant_overlap_S(3, 0.0).entries])
+    assert np.array_equal(permanents._checked_grams(stack), stack)
+
+
 def test_multipermanent_all_ones_reduction():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):

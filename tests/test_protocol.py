@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hompurify import (
     bs_sweep,
     constant_overlap_S,
     evaluate_scenario,
+    evaluate_scenarios,
     hom_visibility,
     multiphoton_visibility,
     multipermanent,
@@ -748,6 +750,54 @@ def test_scenario_validation_and_rows():
     assert row["v_raw"] == pytest.approx(1 / 1.2)
     row = evaluate_scenario(Scenario("pol", "polarization", theta_deg=20.0, direction="opposite"))
     assert 0.0 < row["v_pure"] < 1.0
+
+
+def test_scenario_table_matches_per_row_calls():
+    """A seeded mixed table gives, row by row and in input order, the bits
+    of each row's own `purified_visibility` (the pure-dephasing closed
+    forms for those rows): constant rows with input loss and with loss
+    after the first couplers, polarization rows in both directions,
+    several r_final, and g2 > 0 rows that share a NoiseConfig or not."""
+    rng = np.random.default_rng(28)
+    shared = NoiseConfig(g2=0.04, r1=0.45, r_final=0.55, transmissions=(0.9,) * 6)
+    scenarios = []
+    for i in range(48):
+        noise = NoiseConfig(r1=rng.uniform(0.2, 0.8), r2=rng.uniform(0.2, 0.8),
+                            r_final=float(rng.choice([0.3, 0.5, 0.62])))
+        kind = i % 8
+        if kind == 1:
+            noise = replace(noise, transmissions=tuple(rng.uniform(0.3, 1.0, 6)))
+        elif kind == 2:
+            noise = replace(noise, transmissions=tuple(rng.uniform(0.3, 1.0, 6)),
+                            loss_stage="after_first_bs")
+        elif kind == 5:
+            noise = shared
+        elif kind == 6:
+            noise = replace(noise, g2=rng.uniform(0.01, 0.1))
+        if kind == 3:
+            scenarios.append(Scenario(f"p{i}", "polarization", noise=noise,
+                                      theta_deg=rng.uniform(-90, 90),
+                                      direction=("same", "opposite")[i % 16 // 8]))
+        elif kind == 4:
+            scenarios.append(Scenario(f"d{i}", "pure_dephasing", x=rng.uniform(0, 3)))
+        elif kind == 5 and i % 16 == 5:
+            scenarios.append(Scenario(f"s{i}", "polarization", noise=noise,
+                                      theta_deg=rng.uniform(0, 45), direction="opposite"))
+        else:
+            scenarios.append(Scenario(f"c{i}", "constant", noise=noise, c=rng.uniform(0, 1)))
+    rows = evaluate_scenarios(scenarios)
+    assert [row["scenario_id"] for row in rows] == [s.scenario_id for s in scenarios]
+    for scenario, row in zip(scenarios, rows):
+        if scenario.model == "constant":
+            want = purified_visibility(scenario.c, scenario.noise)
+        elif scenario.model == "polarization":
+            s4 = polarization_scenario_S(np.deg2rad(scenario.theta_deg), scenario.direction)
+            want = purified_visibility(s4, scenario.noise)
+        else:
+            want = (1.0 / (1.0 + scenario.x), pd_purified(scenario.x))
+        assert (row["v_raw"], row["v_pure"]) == want, scenario.scenario_id
+        assert row["improvement"] == want[1] - want[0]
+        assert row == evaluate_scenario(scenario)
 
 
 def enumerated_signature_probability(circuit, inp, pattern, s, assignment):
