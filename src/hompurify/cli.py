@@ -61,10 +61,14 @@ def write_rows(rows: list[dict], config: dict, out_path, fmt: str) -> None:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(config, dict):
@@ -85,14 +89,15 @@ _NON_NEGATIVE = (lambda v: v >= 0.0, "a number >= 0")
 _POSITIVE = (lambda v: v > 0.0, "a positive number")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _G2 = (lambda v: 0.0 <= v < 0.5, "a number in [0, 0.5)")
+_COUNT = (lambda v: v >= 1.0 and v.is_integer(), "an integer >= 1")
 
 
 def _checked(value, field: str, rule, context: str | None = None) -> float:
     """`value` as a finite float inside `rule`, or a ConfigError naming
-    `field` and the expected range."""
+    `field` and the expected range. JSON true and false are not numbers."""
     ok, expect = rule
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not (math.isfinite(number) and ok(number)):
@@ -192,13 +197,8 @@ def _grid(config: dict, context: str, rule) -> np.ndarray:
         _checked(_require(config, field, context), repr(field), rule, context)
         for field in ("start", "stop")
     )
-    try:
-        points = int(_require(config, "points", context))
-    except (TypeError, ValueError):
-        points = 0
-    if points < 1:
-        raise ConfigError(f"{context}: 'points' must be a positive integer")
-    return np.linspace(start, stop, points)
+    points = _checked(_require(config, "points", context), "'points'", _COUNT, context)
+    return np.linspace(start, stop, int(points))
 
 
 def cmd_sweep(args) -> int:

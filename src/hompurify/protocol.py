@@ -327,27 +327,51 @@ def _raw_gram(s4: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _visibilities(stacks, config: NoiseConfig, circuits=None) -> list[np.ndarray]:
-    """1 - 2 P_out / P_ref of each matrix of each checked stack of Gram
-    matrices in `stacks`, (g, 2, 2) raw or (g, 4, 4) purified, under
-    `config`: one array per stack. At g2 = 0 this is the closed form
-    `_hom(r_final, W)` and no circuit is built; above, the circuits of
-    `config` (`circuits` when a caller already built them) serve every
-    stack, one `_mixture_probabilities` call each."""
-    p2 = p2_from_g2(config.g2)
-    if p2 == 0.0:
-        if not _heralds(config):
-            raise ValueError(_DEGENERATE)
-        return [_hom(config.r_final, _heralded_overlaps(s)[0]) for s in stacks]
-    circuits = circuits or purifier_circuits(
-        config.r1, config.r2, config.r_final, config.transmissions, config.loss_stage
-    )
-    visibilities = []
-    for s in stacks:
-        p_out, p_ref = _mixture_probabilities(circuits, s, config.r_final, p2).T
-        if (p_ref <= 0.0).any():
-            raise ValueError(_DEGENERATE)
-        visibilities.append(1.0 - 2.0 * p_out / p_ref)
+def _from_probabilities(p) -> np.ndarray:
+    """1 - 2 P_out / P_ref of each row (P_out, P_ref) of `p`, shape (g, 2);
+    a ValueError names degenerate heralding when some P_ref <= 0."""
+    p_out, p_ref = np.asarray(p).T
+    if (p_ref <= 0.0).any():
+        raise ValueError(_DEGENERATE)
+    return 1.0 - 2.0 * p_out / p_ref
+
+
+def _visibilities(s4: np.ndarray, configs) -> np.ndarray:
+    """[v_raw, v_pure], shape (g, 2), of each matrix of a checked stack
+    (g, 4, 4) of Gram matrices under the NoiseConfig at the same place in
+    `configs`; the raw test runs photons 0 and 3 (`_raw_gram`). Each
+    distinct config is looked at once. The g2 = 0 rows are one closed form
+    `_hom(r_final, W)` for both tests, after `_heralds` passes their
+    configs; no circuit is built. The g2 > 0 rows are grouped by their
+    optics (the config at g2 = 0), whose circuits are built once, and make
+    one `_mixture_probabilities` call per g2 and Gram size."""
+    stacks = (_raw_gram(s4), s4)
+    rows = {}
+    for j, config in enumerate(configs):
+        rows.setdefault(config, []).append(j)
+    visibilities = np.empty((len(s4), 2))
+    zero, r_final, optics = [], [], {}
+    for config, group in rows.items():
+        if p2_from_g2(config.g2) == 0.0:
+            if not _heralds(config):
+                raise ValueError(_DEGENERATE)
+            zero += group
+            r_final += [config.r_final] * len(group)
+        else:
+            optics.setdefault(replace(config, g2=0.0), []).append(config)
+    if zero:
+        for column, stack in enumerate(stacks):
+            visibilities[zero, column] = _hom(np.array(r_final), _heralded_overlaps(stack[zero])[0])
+    for base, group in optics.items():
+        circuits = purifier_circuits(
+            base.r1, base.r2, base.r_final, base.transmissions, base.loss_stage
+        )
+        for config in group:
+            at = rows[config]
+            for column, stack in enumerate(stacks):
+                visibilities[at, column] = _from_probabilities(_mixture_probabilities(
+                    circuits, stack[at], config.r_final, p2_from_g2(config.g2)
+                ))
     return visibilities
 
 
@@ -362,9 +386,7 @@ def purified_visibility(c_or_s, config: NoiseConfig = NoiseConfig()) -> tuple[fl
     names degenerate heralding when they cannot. At g2 > 0 they read every
     field of `config` (`_mixture_probabilities`).
     """
-    s4 = _constant_or_matrix(c_or_s)[None]
-    v_raw, v_pure = _visibilities((_raw_gram(s4), s4), config)
-    return float(v_raw[0]), float(v_pure[0])
+    return tuple(_visibilities(_constant_or_matrix(c_or_s)[None], [config])[0].tolist())
 
 
 def multiphoton_visibility(
@@ -381,32 +403,23 @@ def bs_sweep(which: str, reflectivities, c: float, g2: float = 0.0) -> list[dict
     if which not in ("first", "second", "final"):
         raise ValueError("which must be 'first', 'second' or 'final'")
     key = {"first": "r1", "second": "r2", "final": "r_final"}[which]
-    s4 = _constant_or_matrix(c)[None]
-    stacks = (_raw_gram(s4), s4)
-    rows = []
-    for r in reflectivities:
-        v_raw, v_pure = _visibilities(stacks, NoiseConfig(g2=g2, **{key: float(r)}))
-        rows.append({"reflectivity": float(r), "v_raw": float(v_raw[0]),
-                     "v_pure": float(v_pure[0])})
-    return rows
+    rs = [float(r) for r in reflectivities]
+    s4 = np.repeat(_constant_or_matrix(c)[None], len(rs), axis=0)
+    visibilities = _visibilities(s4, [NoiseConfig(g2=g2, **{key: r}) for r in rs])
+    return [{"reflectivity": r, "v_raw": v_raw, "v_pure": v_pure}
+            for r, (v_raw, v_pure) in zip(rs, visibilities.tolist())]
 
 
 def g2_sweep(g2s, c: float) -> list[dict]:
     """Raw/purified visibilities and their difference versus g2 at constant
-    overlap `c`, balanced lossless couplers. The Gram matrices and the
-    circuits do not depend on g2, so they are built once; each row has the
-    bits of `multiphoton_visibility(c, g2)`."""
-    s4 = constant_overlap_S(4, c).entries[None]
-    stacks = (_raw_gram(s4), s4)
-    circuits = purifier_circuits(0.5, 0.5, 0.5)
-    rows = []
-    for g2 in g2s:
-        v_raw, v_pure = (
-            float(v[0]) for v in _visibilities(stacks, NoiseConfig(g2=float(g2)), circuits)
-        )
-        rows.append({"g2": float(g2), "v_raw": v_raw, "v_pure": v_pure,
-                     "improvement": v_pure - v_raw})
-    return rows
+    overlap `c`, balanced lossless couplers: one `_visibilities` call, so
+    the circuits are built once, and each row has the bits of
+    `multiphoton_visibility(c, g2)`."""
+    g2s = [float(g2) for g2 in g2s]
+    s4 = np.repeat(constant_overlap_S(4, c).entries[None], len(g2s), axis=0)
+    visibilities = _visibilities(s4, [NoiseConfig(g2=g2) for g2 in g2s])
+    return [{"g2": g2, "v_raw": v_raw, "v_pure": v_pure, "improvement": v_pure - v_raw}
+            for g2, (v_raw, v_pure) in zip(g2s, visibilities.tolist())]
 
 
 SWEEP_MODELS = ("multipermanent", "pure_dephasing", "multipermanent_g2")
@@ -440,10 +453,7 @@ def _g2_column(cs: list[float], p2: float) -> list[float]:
     p = (q[:, :, None] * at_nodes).sum(axis=1) / q.sum(axis=1)[:, None]
     row, node = hits.nonzero()
     p[row] = at_nodes[node]
-    p_out, p_ref = p.T
-    if (p_ref <= 0.0).any():
-        raise ValueError(_DEGENERATE)
-    return (1.0 - 2.0 * p_out / p_ref).tolist()
+    return _from_probabilities(p).tolist()
 
 
 def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
@@ -477,7 +487,7 @@ def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
             columns[model] = _g2_column(cs, p2_from_g2(g2))
         else:
             grams = _checked_grams(_constant_overlap_grams(4, cs))
-            columns[model] = _visibilities((grams,), NoiseConfig())[0].tolist()
+            columns[model] = _visibilities(grams, [NoiseConfig()] * len(cs))[:, 1].tolist()
     return [
         {"v_raw": v, **{f"v_pure_{model}": column[i] for model, column in columns.items()}}
         for i, v in enumerate(v_raws)
@@ -514,20 +524,18 @@ def polarization_bounds(thetas_deg, config: NoiseConfig | None = None) -> list[d
     with u = cos^2 theta, deepest near 36.5 degrees; derivation in
     notes/decisions.md)."""
     thetas = [float(t) for t in thetas_deg]
-    same, opposite = (
-        _checked_grams(_polarization_scenario_grams(np.deg2rad(thetas), [d] * len(thetas)))
-        for d in ("same", "opposite")
-    )
+    n = len(thetas)
+    s4 = _checked_grams(_polarization_scenario_grams(
+        np.deg2rad(thetas + thetas), ["same"] * n + ["opposite"] * n
+    ))
+    visibilities = _visibilities(s4, [config or NoiseConfig()] * (2 * n)).tolist()
     # the direction rotates photon 2 only, so the raw pair (photons 0 and 3)
-    # and its visibility are the same for both
-    stacks = (_raw_gram(same), same, opposite)
-    v_raw, v_same, v_opposite = (
-        v.tolist() for v in _visibilities(stacks, config or NoiseConfig())
-    )
+    # and its visibility are the same for both; v_raw is read from `same`
     return [
-        {"theta_deg": theta_deg, "v_raw": v_raw[i],
-         "v_pure_same": v_same[i], "v_pure_opposite": v_opposite[i]}
-        for i, theta_deg in enumerate(thetas)
+        {"theta_deg": theta_deg, "v_raw": v_raw, "v_pure_same": v_same,
+         "v_pure_opposite": v_opposite}
+        for theta_deg, (v_raw, v_same), (_, v_opposite)
+        in zip(thetas, visibilities[:n], visibilities[n:])
     ]
 
 
@@ -556,11 +564,9 @@ def evaluate_scenarios(scenarios) -> list[dict]:
 
 def _table_visibilities(scenarios: list[Scenario]) -> list[list[float]]:
     """[v_raw, v_pure] of each Scenario, with the bits of its own
-    `purified_visibility`. The constant and polarization rows share one
-    checked stack of Gram matrices. At g2 = 0 they are one closed form
-    `_hom(r_final, W)` over the stack; above, the rows of each distinct
-    NoiseConfig are one `_visibilities` call on its circuits. Pure
-    dephasing rows are their closed forms."""
+    `purified_visibility`: the constant and polarization rows are one
+    checked stack of Gram matrices and one `_visibilities` call under
+    their own NoiseConfigs; pure dephasing rows are their closed forms."""
     visibilities = np.empty((len(scenarios), 2))
     model = {m: [i for i, s in enumerate(scenarios) if s.model == m]
              for m in ("constant", "polarization", "pure_dephasing")}
@@ -574,23 +580,7 @@ def _table_visibilities(scenarios: list[Scenario]) -> list[list[float]]:
         _polarization_scenario_grams(np.deg2rad([s.theta_deg for s in polarized]),
                                      [s.direction for s in polarized]),
     ]))
-    raw = _raw_gram(s4)
-    configs = [scenarios[i].noise for i in rows]
-    zero, groups = [], {}
-    for j, config in enumerate(configs):
-        if p2_from_g2(config.g2) == 0.0:
-            if not _heralds(config):
-                raise ValueError(_DEGENERATE)
-            zero.append(j)
-        else:
-            groups.setdefault(config, []).append(j)
-    r_final = np.array([configs[j].r_final for j in zero])
-    for column, stack in enumerate((raw, s4)):
-        w = _heralded_overlaps(stack[zero])[0]
-        visibilities[[rows[j] for j in zero], column] = _hom(r_final, w)
-    for config, group in groups.items():
-        v_raw, v_pure = _visibilities((raw[group], s4[group]), config)
-        visibilities[[rows[j] for j in group]] = np.stack([v_raw, v_pure], axis=1)
+    visibilities[rows] = _visibilities(s4, [scenarios[i].noise for i in rows])
     return visibilities.tolist()
 
 

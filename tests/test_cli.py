@@ -425,6 +425,10 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
         (5, "bad.json"),
         (None, "bad.json"),
         ("scenarios", "bad.json"),
+        (b'{"scenarios": [{"id": "\xe9"}]}', "bad.json: not UTF-8"),
+        ({"scenarios": [{"model": "constant", "c": True}]}, "'c'"),
+        ({"scenarios": [{"model": "pure_dephasing", "x": False}]}, "'x'"),
+        ({"scenarios": [{"model": "polarization", "theta_deg": True}]}, "'theta_deg'"),
     ],
     ids=["x-negative", "x-text", "c-above-1", "c-text", "c2-negative", "g2-half",
          "theta-text", "reflectivities-text", "transmission-above-1", "scenarios-object",
@@ -433,7 +437,7 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
          "dephasing-transmissions", "dephasing-loss-stage", "top-level-scenario",
          "loss-stage-unknown", "direction-unknown", "model-unknown", "constant-without-c",
          "invalid-json", "top-level-list", "top-level-number", "top-level-null",
-         "top-level-string"],
+         "top-level-string", "not-utf8", "c-true", "x-false", "theta-true"],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
@@ -481,19 +485,46 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
         (5, "bad.json"),
         (None, "bad.json"),
         ("sweep", "bad.json"),
+        (b'{"sweep": "g2", "c": "\xe9"}', "bad.json: not UTF-8"),
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 2.5, "c": 0.9},
+         "'points'"),
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": True, "c": 0.9},
+         "'points'"),
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 2, "c": True}, "'c'"),
+        ({"sweep": "polarization", "start": False, "stop": 45, "points": 3}, "'start'"),
     ],
     ids=["v-raw-zero-pure-dephasing", "v-raw-above-1", "g2-half", "c-above-1", "c2-text",
          "points-text", "polarization-g2", "polarization-c", "g2-sweep-g2",
          "final-bs-reflectivities", "first-bs-models", "raw-visibility-c",
          "raw-visibility-model-typo", "models-number", "models-string", "models-empty",
          "models-unknown", "g2-sweep-without-c", "final-bs-without-c", "invalid-json",
-         "top-level-list", "top-level-number", "top-level-null", "top-level-string"],
+         "top-level-list", "top-level-number", "top-level-null", "top-level-string",
+         "not-utf8", "points-fraction", "points-true", "c-true", "start-false"],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
     code, _, err = run_cli(capsys, "sweep", "--config", config)
     assert code == 2, err
     assert field in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_config_that_is_a_directory_exits_2(tmp_path, capsys, command):
+    code, out, err = run_cli(capsys, command, "--config", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"config error: {tmp_path}: cannot read the config file" in err
+
+
+def test_sweep_points_may_be_an_integral_float(tmp_path, capsys):
+    rows = []
+    for points in (3, 3.0):
+        config = write_json(tmp_path, "sweep.json",
+                            {"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": points,
+                             "c": 0.9})
+        code, out, err = run_cli(capsys, "sweep", "--config", config, "--format", "json")
+        assert code == 0, err
+        rows.append(json.loads(out)["rows"])
+    assert len(rows[0]) == 3 and rows[0] == rows[1]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -257,6 +257,20 @@ def test_bs_sweep_final_degrades():
         bs_sweep("middle", [0.5], c)
 
 
+@pytest.mark.parametrize("g2", [0.0, 0.05])
+@pytest.mark.parametrize("which, key", [("first", "r1"), ("second", "r2"), ("final", "r_final")])
+def test_bs_sweep_matches_per_row_calls(which, key, g2):
+    """Each row, a repeated reflectivity too, has the bits of its own
+    `purified_visibility` with that reflectivity."""
+    c = 0.93
+    rs = [0.2, 0.35, 0.5, 0.35, 0.8]
+    rows = bs_sweep(which, rs, c, g2)
+    assert [row["reflectivity"] for row in rows] == rs
+    for r, row in zip(rs, rows):
+        want = purified_visibility(c, NoiseConfig(g2=g2, **{key: r}))
+        assert (row["v_raw"], row["v_pure"]) == want, r
+
+
 def test_raw_visibility_sweep_matches_per_row_calls():
     """On the README grid the sweep keeps the bits of the per-row calls,
     except the g2 column, which is interpolated in c from 9 nodes."""
@@ -757,7 +771,9 @@ def test_scenario_table_matches_per_row_calls():
     of each row's own `purified_visibility` (the pure-dephasing closed
     forms for those rows): constant rows with input loss and with loss
     after the first couplers, polarization rows in both directions,
-    several r_final, and g2 > 0 rows that share a NoiseConfig or not."""
+    several r_final, and g2 > 0 rows that share a NoiseConfig or not. The
+    last rows share the optics of the shared config at g2 = 0.02 and at
+    g2 = 0, so one set of circuits serves two g2 values."""
     rng = np.random.default_rng(28)
     shared = NoiseConfig(g2=0.04, r1=0.45, r_final=0.55, transmissions=(0.9,) * 6)
     scenarios = []
@@ -785,6 +801,13 @@ def test_scenario_table_matches_per_row_calls():
                                       theta_deg=rng.uniform(0, 45), direction="opposite"))
         else:
             scenarios.append(Scenario(f"c{i}", "constant", noise=noise, c=rng.uniform(0, 1)))
+    for i in range(48, 56):
+        noise = replace(shared, g2=(0.02, 0.0)[i % 4 // 3])
+        if i % 2:
+            scenarios.append(Scenario(f"o{i}", "polarization", noise=noise,
+                                      theta_deg=rng.uniform(-90, 90), direction="opposite"))
+        else:
+            scenarios.append(Scenario(f"g{i}", "constant", noise=noise, c=rng.uniform(0, 1)))
     rows = evaluate_scenarios(scenarios)
     assert [row["scenario_id"] for row in rows] == [s.scenario_id for s in scenarios]
     for scenario, row in zip(scenarios, rows):
