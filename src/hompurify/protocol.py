@@ -232,39 +232,17 @@ def _heralded_overlaps(grams) -> tuple[np.ndarray, np.ndarray]:
 
         W = Tr(S_AA S_AB S_BB S_BA) / N.
 
-    With one photon per copy (the raw test) W = S_01 S_10 and N = 1. Each
-    product and sum is one numpy operation on a column of the stack (entry
-    [i, j] of every matrix), taken in the order of the per-matrix loop
-    over i, j and h. Complex products are formed from real and imaginary
-    parts, each of the four real products rounded on its own, as CPython
-    rounds a complex product; numpy's complex multiply may fuse them. So
-    each W and N has the bits of that loop in Python complex arithmetic.
-    Both traces pass the non-real check of every detection probability,
-    so a non-Hermitian matrix raises."""
+    With one photon per copy (the raw test) W = S_01 S_10 and N = 1. The
+    traces are two `np.einsum` calls over the stack. Both pass the
+    non-real check of every detection probability, so a non-Hermitian
+    matrix raises."""
     s = np.asarray(grams)
     k = s.shape[-1] // 2
-    a, b = range(k), range(k, 2 * k)
-    z = [[(s.real[:, i, j], s.imag[:, i, j]) for j in range(2 * k)] for i in range(2 * k)]
-    ab = [[_total(_times(z[i][h], z[h][j]) for h in a) for j in b] for i in a]  # S_AA S_AB
-    ba = [[_total(_times(z[j][h], z[h][i]) for h in b) for i in a] for j in b]  # S_BB S_BA
-    trace = _total(_times(ab[i][j], ba[j][i]) for i in range(k) for j in range(k))
-    norm = _times(_total(_times(z[i][j], z[j][i]) for i in a for j in a),
-                  _total(_times(z[i][j], z[j][i]) for i in b for j in b))
-    values = np.empty((2, len(s)), dtype=complex)
-    values.real, values.imag = (trace[0], norm[0]), (trace[1], norm[1])
-    trace, norm = _real_part(values, "detection probability")
+    blocks = np.stack([s[:, :k, :k], s[:, k:, k:]])  # S_AA, S_BB
+    trace = np.einsum("gij,gjh,ghl,gli->g", blocks[0], s[:, :k, k:], blocks[1], s[:, k:, :k])
+    squares = np.einsum("xgij,xgji->xg", blocks, blocks)
+    trace, norm = _real_part(np.stack([trace, squares[0] * squares[1]]), "detection probability")
     return trace / norm, norm
-
-
-def _times(x, y):
-    """Product of two complex columns held as (real, imaginary) pairs."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _total(terms):
-    """Sum of (real, imaginary) pairs, in order from 0 as Python's `sum`."""
-    re, im = zip(*terms)
-    return sum(re), sum(im)
 
 
 def _heralds(config: NoiseConfig) -> bool:
@@ -424,35 +402,45 @@ def g2_sweep(g2s, c: float) -> list[dict]:
 
 SWEEP_MODELS = ("multipermanent", "pure_dephasing", "multipermanent_g2")
 
-# First-kind Chebyshev nodes of degree 8 on c in [0, 1] and their barycentric
-# weights: on the balanced purifier at fixed p2, P_out and P_ref are
-# polynomials of degree <= 8 in c (`_g2_column`).
-_NODE_ANGLES = (2 * np.arange(9) + 1) * np.pi / 18
-_C_NODES = 0.5 + 0.5 * np.cos(_NODE_ANGLES)
-_C_WEIGHTS = (-1.0) ** np.arange(9) * np.sin(_NODE_ANGLES)
+# D_1..D_4 of the balanced lossless purifier, `out` and `ref` circuits: row
+# k - 1 holds the coefficients of c^0..c^8 of the signature sum of every
+# placement of k doubled photons, in units of 2^-16 (`_g2_column`).
+_D_OUT = np.array([
+    [4608, 0, 10752, -7168, 3072, -2048, 0, 0, 0],
+    [10720, 0, 39936, -17280, 24416, -14464, -896, 0, 0],
+    [9408, 0, 51456, -16640, 56448, -28800, 1856, -4608, 0],
+    [2816, 0, 21176, -5408, 39072, -16080, 7992, -8112, 592],
+]) / 2.0**16
+_D_REF = np.array([
+    [6144, 0, 18432, 0, 12288, 0, 0, 0, 0],
+    [12800, 0, 54784, 0, 54784, 0, 3584, 0, 0],
+    [10752, 0, 64512, 0, 96768, 0, 21504, 0, 0],
+    [3136, 0, 25088, 0, 56448, 0, 25088, 0, 3136],
+]) / 2.0**16
 
 
 def _g2_column(cs: list[float], p2: float) -> list[float]:
     """Purified visibility at constant overlap c, for each c of `cs` in
     [0, 1], on the balanced lossless purifier at two-photon emission
-    probability `p2` > 0.
+    probability `p2` > 0, in closed form.
 
-    The Gram matrix (1 - c) I + c J is affine in c and every permanent has
-    at most 8 rows once a photon is doubled, so P_out and P_ref are
-    polynomials of degree <= 8 in c: one `_mixture_probabilities` call at
-    the 9 nodes fixes both, and barycentric interpolation gives them at
-    each c, a node itself taking its own value (notes/decisions.md, "The
-    sweep's g2 column as a polynomial in c"). The weighted sums are numpy
-    reductions, not BLAS products."""
-    nodes = _checked_grams(_constant_overlap_grams(4, _C_NODES))
-    at_nodes = _mixture_probabilities(purifier_circuits(0.5, 0.5, 0.5), nodes, 0.5, p2)
-    gaps = np.subtract.outer(np.asarray(cs), _C_NODES)
-    hits = gaps == 0.0
-    gaps[hits] = 1.0
-    q = _C_WEIGHTS / gaps
-    p = (q[:, :, None] * at_nodes).sum(axis=1) / q.sum(axis=1)[:, None]
-    row, node = hits.nonzero()
-    p[row] = at_nodes[node]
+    `_mixture_probabilities` divided by (1 - p2)^4, a factor that cancels
+    in 1 - 2 P_out / P_ref, is P_0(c) + sum_{k=1..4} t^k D_k(c) with
+    t = p2 / (2 (1 - p2)). P_0 is the g2 = 0 closed form K N and
+    K N (1 - W) / 2, with K = 1/256, N = 4 (1 + c^2)^2 and
+    W = c^2 (1 + c)^2 / (1 + c^2)^2; D_k, the signature sum of the
+    placements of k doubled photons, is a polynomial of degree <= 8 in c
+    with dyadic coefficients (`_D_OUT`, `_D_REF`; their derivation is in
+    notes/decisions.md, "The sweep's g2 column in closed form"). No
+    circuit, Gram matrix or kernel call is made."""
+    c = np.asarray(cs, dtype=float)
+    t = p2 / (2.0 * (1.0 - p2))
+    ts = t ** np.arange(1, 5)
+    powers = c[:, None] ** np.arange(9)
+    n = (1.0 + c * c) ** 2
+    w = c * c * (1.0 + c) ** 2 / n
+    p = np.stack([n * (1.0 - w) / 128.0 + powers @ (ts @ _D_OUT),
+                  n / 64.0 + powers @ (ts @ _D_REF)], axis=1)
     return _from_probabilities(p).tolist()
 
 
@@ -461,22 +449,23 @@ def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:
     `SWEEP_MODELS`: the constant-overlap circuit at c = sqrt(v_raw)
     without (`multipermanent`) and with (`multipermanent_g2`) doubled
     emissions at `g2`, and the pure-dephasing closed form at
-    x = 1 / v_raw - 1. Every `v_raw` must lie in [0, 1], in (0, 1] when
-    `pure_dephasing` is listed.
+    x = 1 / v_raw - 1. Every `v_raw` must lie in [0, 1]; when
+    `pure_dephasing` is listed, in (0, 1] with a finite 1 / v_raw.
 
     The `multipermanent` column, and the g2 column at g2 = 0, is one
     closed-form `_visibilities` call on the checked stack of every grid
     point's Gram matrix, with the bits of `purified_visibility(c)[1]`. At
-    g2 > 0 the g2 column is interpolated from 9 Chebyshev nodes in c (`_g2_column`), within
-    1e-14 of `multiphoton_visibility(c, g2)[1]` row by row."""
+    g2 > 0 the g2 column is the closed form in (c, p2) of `_g2_column`,
+    within 1e-14 of `multiphoton_visibility(c, g2)[1]` row by row."""
     for model in models:
         if model not in SWEEP_MODELS:
             raise ValueError(f"unknown sweep model {model!r}")
     v_raws = [float(v) for v in v_raws]
     dephasing = "pure_dephasing" in models
     for v in v_raws:
-        if not (0.0 < v <= 1.0 if dephasing else 0.0 <= v <= 1.0):
-            span = "(0, 1] for the pure_dephasing model" if dephasing else "[0, 1]"
+        if not (0.0 < v <= 1.0 and isfinite(1.0 / v) if dephasing else 0.0 <= v <= 1.0):
+            span = ("(0, 1] with a finite 1 / v_raw for the pure_dephasing model"
+                    if dephasing else "[0, 1]")
             raise ValueError(f"v_raw must be in {span}, got {v!r}")
     cs = [sqrt(v) for v in v_raws]
     columns = {}

@@ -10,7 +10,7 @@ import pytest
 
 import hompurify
 from hompurify import PeakCounts, SetupGeometry, pure_count_model, raw_count_model
-from hompurify.cli import main
+from hompurify.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -335,6 +335,28 @@ def test_fit_mc_resamples_reproducible(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_main_reuses_its_parser_across_calls(tmp_path, capsys):
+    """One parser serves every `main` call of a process; a rejected argv in
+    between leaves the next calls as they were."""
+    fit = ["fit", "--counts", _write_raw_counts_file(tmp_path), "--mode", "raw", "--time", "30",
+           "--format", "json"]
+    sweep = ["sweep", "--config", write_json(tmp_path, "sweep.json", {
+        "sweep": "final_bs", "start": 0.3, "stop": 0.7, "points": 3, "c": 0.9})]
+
+    def written(argv, name):
+        out = tmp_path / name
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        return out.read_bytes()
+
+    first = written(fit, "fit1.json")
+    written(sweep, "sweep.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--mode", "sideways"])
+    assert exc.value.code == 2 and "--mode" in capsys.readouterr().err
+    assert written(fit, "fit2.json") == first
+    assert build_parser() is build_parser()
+
+
 def test_fit_numerical_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "zeros.txt"
     path.write_text("0 0\n1 0\n")
@@ -492,6 +514,8 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
          "'points'"),
         ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 2, "c": True}, "'c'"),
         ({"sweep": "polarization", "start": False, "stop": 45, "points": 3}, "'start'"),
+        ({"sweep": "raw_visibility", "start": 1e-320, "stop": 1.0, "points": 3,
+          "models": ["pure_dephasing"]}, "'start'"),
     ],
     ids=["v-raw-zero-pure-dephasing", "v-raw-above-1", "g2-half", "c-above-1", "c2-text",
          "points-text", "polarization-g2", "polarization-c", "g2-sweep-g2",
@@ -499,7 +523,8 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
          "raw-visibility-model-typo", "models-number", "models-string", "models-empty",
          "models-unknown", "g2-sweep-without-c", "final-bs-without-c", "invalid-json",
          "top-level-list", "top-level-number", "top-level-null", "top-level-string",
-         "not-utf8", "points-fraction", "points-true", "c-true", "start-false"],
+         "not-utf8", "points-fraction", "points-true", "c-true", "start-false",
+         "v-raw-subnormal-pure-dephasing"],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
@@ -575,6 +600,42 @@ def test_mc_dephasing_reports(tmp_path, capsys):
     assert float(values["purified_closed_form"]) == pytest.approx(0.904158, abs=1e-5)
     row = json.loads(report.read_text())["rows"][0]
     assert row["purified_closed_form"] == hompurify.pd_purified(0.2)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "fit", "mc-dephasing"])
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, command):
+    argv = {
+        "simulate": ["--config", write_json(tmp_path, "sim.json", {"scenarios": [
+            {"model": "constant", "c": 0.9}]})],
+        "sweep": ["--config", write_json(tmp_path, "sweep.json", {
+            "sweep": "final_bs", "start": 0.3, "stop": 0.7, "points": 3, "c": 0.9})],
+        "fit": ["--counts", _write_raw_counts_file(tmp_path), "--mode", "raw", "--time", "30"],
+        "mc-dephasing": ["--x", "0.2", "--samples", "2", "--dt", "1", "--horizon", "2",
+                         "--seed", "1"],
+    }[command]
+    out = tmp_path / "nodir" / "x.json"
+    code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+    assert code == 2, err
+    assert f"config error: {out}: cannot write the output file" in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("simulate", "0,pure_dephasing,1e-300,1e-300,0,0.25"),
+    ("mc-dephasing", "purified_closed_form = 1e-300"),
+])
+def test_pure_dephasing_at_huge_x_exits_0(tmp_path, capsys, command, line):
+    """x = 1e300 overflows the products of the moment denominators; the
+    closed form still reports 1 / (1 + x)."""
+    argv = {
+        "simulate": ["--config", write_json(tmp_path, "sim.json", {"scenarios": [
+            {"model": "pure_dephasing", "x": 1e300}]})],
+        "mc-dephasing": ["--x", "1e300", "--samples", "2", "--dt", "1", "--horizon", "2",
+                         "--seed", "1"],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 0, err
+    assert line in out.splitlines()
 
 
 def test_mc_dephasing_requires_seed(capsys):

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,27 @@ def test_purified_closed_form_value_small_x():
         assert pd_purified(float(x)) == pytest.approx(pd_purified_rational(x), rel=1e-15, abs=0)
     # x = 1/9: raw indistinguishability 0.9
     assert pd_purified(1.0 / 9.0) == pytest.approx(0.9456, abs=5e-4)
+
+
+@pytest.mark.parametrize("x", [1e100, 1e160, 1e300])
+def test_moments_stay_finite_at_huge_x(x):
+    """Where the products of the denominators overflow, the moments match
+    their exact rational values: to 1e-14 where that value is a normal
+    float, and by less than the smallest normal float where it is not."""
+    big = Fraction(x)
+    exact = {
+        "pair": 1 / (1 + big),
+        "triple": 2 / ((1 + big) * (2 + big)),
+        "quad": 4 / ((3 + big) * (2 + big) * (1 + big)) + 1 / ((3 + big) * (1 + big) ** 2),
+    }
+    moments = pd_moments(x)
+    for name, value in exact.items():
+        got = getattr(moments, name)
+        if value >= sys.float_info.min:
+            assert got == pytest.approx(float(value), rel=1e-14, abs=0), name
+        else:
+            assert 0.0 <= got < sys.float_info.min, name
+    assert pd_purified(x) == pytest.approx(1.0 / x, rel=1e-14, abs=0)
 
 
 def test_purified_strictly_decreasing_and_above_pairwise():

@@ -37,6 +37,8 @@ from hompurify.circuits import TransferMatrix
 from hompurify.protocol import (
     COINCIDENCE_PATTERN,
     HERALDED_PATTERN,
+    _D_OUT,
+    _D_REF,
     _heralded_overlaps,
     _mixture_probabilities,
     _raw_gram,
@@ -273,7 +275,7 @@ def test_bs_sweep_matches_per_row_calls(which, key, g2):
 
 def test_raw_visibility_sweep_matches_per_row_calls():
     """On the README grid the sweep keeps the bits of the per-row calls,
-    except the g2 column, which is interpolated in c from 9 nodes."""
+    except the g2 column, which is a closed form in (c, p2)."""
     grid = np.linspace(0.5, 1.0, 51)
     rows = raw_visibility_sweep(grid, ["multipermanent", "pure_dephasing", "multipermanent_g2"],
                                 0.07)
@@ -309,9 +311,9 @@ _FULL_GRID = np.linspace(0.0, 1.0, 101)
 
 @pytest.mark.parametrize("g2", [0.01, 0.07, 0.2, 0.49])
 def test_raw_visibility_sweep_g2_column_matches_per_row_calls(g2):
-    """The interpolated g2 column over the whole range of v_raw, with the
-    grid ends and v_raw = 0.25 (c = 0.5, the middle node, where the
-    barycentric formula would divide by zero)."""
+    """The closed-form g2 column over the whole range of v_raw, the grid
+    ends and v_raw = 0.25 (c = 0.5) included, and the test-local
+    interpolant from 9 nodes in c, both against the per-row kernel calls."""
     assert {0.0, 0.25, 1.0} <= set(_FULL_GRID.tolist())
     rows = raw_visibility_sweep(_FULL_GRID, ["multipermanent_g2"], g2)
     per_row = [multiphoton_visibility(float(np.sqrt(v)), g2)[1] for v in _FULL_GRID]
@@ -319,6 +321,24 @@ def test_raw_visibility_sweep_g2_column_matches_per_row_calls(g2):
         per_row, rel=0, abs=1e-13)
     assert _chebyshev_g2_column(np.sqrt(_FULL_GRID), g2, 9) == pytest.approx(
         per_row, rel=0, abs=1e-13)
+
+
+def test_g2_column_tables_match_the_mixture_kernel():
+    """P_out and P_ref of the table, P_0(c) + sum_k t^k D_k(c) evaluated by
+    Horner's rule here, against `_mixture_probabilities / (1 - p2)^4` at 50
+    seeded (c, p2) over c in [0, 1] and the whole g2 range."""
+    rng = np.random.default_rng(32)
+    cs = rng.uniform(0.0, 1.0, 50)
+    p2s = p2_from_g2(0.49) * (1.0 - rng.uniform(0.0, 1.0, 50))  # in (0, p2_from_g2(0.49)]
+    circuits = purifier_circuits(0.5, 0.5, 0.5)
+    for c, p2 in zip(cs, p2s):
+        t = p2 / (2.0 * (1.0 - p2))
+        singles = (1.0 + c * c) ** 2 - c * c * (1.0 + c) ** 2, 2.0 * (1.0 + c * c) ** 2
+        table = [singles[i] / 128.0 + np.polynomial.polynomial.polyval(
+                     c, t ** np.arange(1, 5) @ d) for i, d in enumerate((_D_OUT, _D_REF))]
+        kernel = _mixture_probabilities(circuits, [constant_overlap_S(4, c).entries], 0.5,
+                                        p2)[0] / (1.0 - p2) ** 4
+        assert table == pytest.approx(kernel.tolist(), rel=1e-13, abs=0), (c, p2)
 
 
 @pytest.mark.parametrize("g2", [0.07, 0.2, 0.49])
@@ -338,6 +358,7 @@ def test_g2_column_needs_degree_8_in_c(g2):
     (["multipermanent", "pure_dephasing", "multipermanent_g2"], 1.0000000000000002),
     (["multipermanent"], float("nan")),
     (["pure_dephasing"], float("nan")),
+    (["pure_dephasing"], 1e-320),  # 1 / v_raw overflows
 ])
 def test_raw_visibility_sweep_rejects_grid_values_outside_its_range(models, v):
     span = r"\(0, 1\]" if "pure_dephasing" in models else r"\[0, 1\]"
