@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -62,6 +63,23 @@ def write_rows(rows: list[dict], config: dict, out_path, fmt: str) -> None:
         raise ConfigError(f"{out_path}: cannot write the output file: {exc.strerror}")
     with fh:
         fh.write(text)
+
+
+def _check_out(out_path) -> None:
+    """Refuse an `--out` whose directory is missing or not writable, or
+    that names a directory, before the command does any work."""
+    if not out_path or out_path == "-":
+        return
+    folder = os.path.dirname(out_path) or "."
+    if not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif not os.access(folder, os.W_OK):
+        reason = f"the directory {folder} is not writable"
+    elif os.path.isdir(out_path):
+        reason = "it is a directory"
+    else:
+        return
+    raise ConfigError(f"{out_path}: cannot write the output file: {reason}")
 
 
 def load_config(path) -> dict:
@@ -414,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -59,15 +59,13 @@ def pd_coincidence(moments: OverlapMoments) -> float:
 
 def pd_moments(x: float) -> OverlapMoments:
     """Exact overlap-cycle moments of the Wiener dephasing model at
-    x = 2 gamma_d / gamma (zero detuning), finite for every finite x >= 0.
-    Above x = 1e100 the products of the denominators would overflow, so
-    there the moments are formed by dividing one factor at a time."""
+    x = 2 gamma_d / gamma (zero detuning), finite for every finite x >= 0:
+    a product of the denominators that overflows gives inf, and its
+    reciprocal 0 (`a * a`, because a float `**` raises on overflow)."""
     if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be a finite number >= 0, got {x!r}")
     a, b, c = 1.0 + x, 2.0 + x, 3.0 + x
-    if x > 1e100:
-        return OverlapMoments(pair=1.0 / a, triple=2.0 / a / b, quad=(4.0 / b + 1.0 / a) / c / a)
-    quad = 4.0 / (c * b * a) + 1.0 / (c * a**2)
+    quad = 4.0 / (c * b * a) + 1.0 / (c * (a * a))
     return OverlapMoments(pair=1.0 / a, triple=2.0 / (a * b), quad=quad)
 
 

@@ -428,7 +428,8 @@ def _g2_column(cs: list[float], p2: float) -> list[float]:
     in 1 - 2 P_out / P_ref, is P_0(c) + sum_{k=1..4} t^k D_k(c) with
     t = p2 / (2 (1 - p2)). P_0 is the g2 = 0 closed form K N and
     K N (1 - W) / 2, with K = 1/256, N = 4 (1 + c^2)^2 and
-    W = c^2 (1 + c)^2 / (1 + c^2)^2; D_k, the signature sum of the
+    W = c^2 (1 + c)^2 / (1 + c^2)^2, so P_0 of the output test is
+    ((1 + c^2)^2 - c^2 (1 + c)^2) / 128; D_k, the signature sum of the
     placements of k doubled photons, is a polynomial of degree <= 8 in c
     with dyadic coefficients (`_D_OUT`, `_D_REF`; their derivation is in
     notes/decisions.md, "The sweep's g2 column in closed form"). No
@@ -438,8 +439,7 @@ def _g2_column(cs: list[float], p2: float) -> list[float]:
     ts = t ** np.arange(1, 5)
     powers = c[:, None] ** np.arange(9)
     n = (1.0 + c * c) ** 2
-    w = c * c * (1.0 + c) ** 2 / n
-    p = np.stack([n * (1.0 - w) / 128.0 + powers @ (ts @ _D_OUT),
+    p = np.stack([(n - (c * (1.0 + c)) ** 2) / 128.0 + powers @ (ts @ _D_OUT),
                   n / 64.0 + powers @ (ts @ _D_REF)], axis=1)
     return _from_probabilities(p).tolist()
 

@@ -604,6 +604,7 @@ def test_mc_dephasing_reports(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "fit", "mc-dephasing"])
 def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, command):
+    """The output path is checked before any work: nothing is printed."""
     argv = {
         "simulate": ["--config", write_json(tmp_path, "sim.json", {"scenarios": [
             {"model": "constant", "c": 0.9}]})],
@@ -614,9 +615,10 @@ def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, command):
                          "--seed", "1"],
     }[command]
     out = tmp_path / "nodir" / "x.json"
-    code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+    code, stdout, err = run_cli(capsys, command, *argv, "--out", str(out))
     assert code == 2, err
     assert f"config error: {out}: cannot write the output file" in err
+    assert stdout == ""
     assert not out.parent.exists()
 
 
@@ -666,3 +668,11 @@ def test_mc_dephasing_rejects_bad_flags(capsys, flags, field):
     assert code == 2, err
     assert field in err
     assert out == ""
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    config = write_json(tmp_path, "sim.json", {"scenarios": [{"model": "constant", "c": 0.9}]})
+    code, stdout, err = run_cli(capsys, "simulate", "--config", config, "--out", str(tmp_path))
+    assert code == 2, err
+    assert f"config error: {tmp_path}: cannot write the output file: it is a directory" in err
+    assert stdout == ""
