@@ -112,7 +112,7 @@ _NON_NEGATIVE = (lambda v: v >= 0.0, "a number >= 0")
 _POSITIVE = (lambda v: v > 0.0, "a positive number")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _G2 = (lambda v: 0.0 <= v < 0.5, "a number in [0, 0.5)")
-_COUNT = (lambda v: v >= 1.0 and v.is_integer(), "an integer >= 1")
+_COUNT = (lambda v: 1.0 <= v <= 100000.0 and v.is_integer(), "an integer in [1, 100000]")
 
 
 def _checked(value, field: str, rule, context: str | None = None) -> float:

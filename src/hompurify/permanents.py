@@ -5,11 +5,11 @@ signature without a doubled emission has a closed form in `protocol`).
 `permanent_batch` is the one permanent kernel: Ryser's formula over all
 column subsets of a stack of matrices at once. `permanent_mixture_batch`
 is the same formula with row and column multiplicities m_g in {1, 2}: it
-sums the permanents of every doubling of a few photons, weighted per
-doubled photon, with one factor per photon and no axis over the
-doublings; at m = 1 its tables are `permanent_batch`'s subset table and
-signs. Their signed sums are numpy reductions, never BLAS matvecs
-(notes/decisions.md, "Doubled emissions as multiplicities").
+sums the permanents of every doubling of a few photons per number of
+doubled photons, one factor per photon on a degree axis, unweighted; at
+m = 1 its tables are `permanent_batch`'s subset table and signs. Their
+signed sums are numpy reductions, never BLAS matvecs (notes/decisions.md,
+"Doubled emissions as multiplicities").
 `permanent_naive` is the permutation-sum cross-check.
 
 Every detection probability is a signed sum of its permanents. For
@@ -22,9 +22,9 @@ is the probability, times the input norm perm(delta_in o S), that every
 clicked row C receives a photon, no silent row does and the free rows F
 take the rest (`_clicked_subset_sums`; Shchesnovich, PRA 91, 013844
 (2015)). `protocol.signature_probability` is this sum over the rows of a
-detector signature; with emission weights the same body sums it over the
-doublings of the photons, from one H_T stack on the undoubled ones for
-all Gram matrices of a table, one kernel call per Gram matrix. The
+detector signature; with `doubled` the same body sums it over the
+doublings of the photons per their number, from one H_T stack on the
+undoubled ones for all Gram matrices of a table, one kernel call each. The
 multipermanent of one Fock output, the double-permutation sum
 
     Perm(W) = sum_{sigma, rho} prod_j W[sigma_j, rho_j, j],
@@ -125,41 +125,35 @@ def permanent_batch(a) -> np.ndarray:
     return total
 
 
-def permanent_mixture_batch(a, w1: float, w2: float) -> np.ndarray:
-    """sum_{M nonempty} w1**(n - |M|) w2**|M| perm(A[M]) for a stack of
-    square matrices A (..., n, n), A[M] holding row and column g twice for
-    each g in M. Ryser's formula with multiplicities m_g in {1, 2} (Chin &
-    Huh, Sci. Rep. 8, 6101 (2018)) runs over one cached table of x in
-    {0, 1, 2}**n, with R_g = sum_h x_h A[g, h] and c_m(x_g) =
-    (-1)**(m - x_g) C(m, x_g). Rows and columns are the same photons, so
-    the sum over M factors per photon into a_g = w1 c1 R_g (g single) and
-    b_g = w2 c2 R_g**2 (g doubled):
-
-        sum_x [prod_g (a_g + b_g) - prod_g a_g]
-            = sum_x sum_k prod_{g<k} a_g * b_k * prod_{g>k} (a_g + b_g),
-
-    summed photon by photon in the second form, so the undoubled product,
-    the bulk of the permanent, is never formed and cancelled. The loop is
-    photon-major and in place: each photon's a_g and b_g are formed from
-    its own rows only and `total` and `lead` are updated where they lie,
-    so no full-size temporary is built (notes/decisions.md). Exactly 0 at
-    w2 = 0.
+def permanent_mixture_batch(a) -> np.ndarray:
+    """D_1..D_n on a trailing axis, shape (..., n), for a stack of square
+    matrices A (..., n, n): D_k = sum_{|M| = k} perm(A[M]), A[M] holding
+    row and column g twice for each g in M. Ryser's formula with
+    multiplicities m_g in {1, 2} (Chin & Huh, Sci. Rep. 8, 6101 (2018))
+    runs over one cached table of x in {0, 1, 2}**n, with R_g =
+    sum_h x_h A[g, h] and c_m(x_g) = (-1)**(m - x_g) C(m, x_g). The sum
+    over M factors per photon into a_g = c1 R_g (g single) and
+    b_g = c2 R_g**2 (g doubled), and a degree axis counts the doubled
+    photons: photon by photon and in place, poly[k] <- poly[k] a_g +
+    poly[k - 1] b_g. poly[0], the undoubled permanent's term, is never
+    summed into a D_k (notes/decisions.md, "Doubled emissions as
+    multiplicities").
     """
     a = _square_stack(a)
     table, (c1, c2), _ = _ryser_tables(a.shape[-1], 2)
     rows = np.moveaxis(a @ table, -2, 0)  # (n, ..., 3**n)
-    one, two = w1 * c1, w2 * c2
-    total = rows[0] * rows[0]
-    total *= two[0]
-    lead = rows[0] * one[0]
-    for g in range(1, len(rows)):
-        single = rows[g] * one[g]
-        double = rows[g] * rows[g]
-        double *= two[g]
-        total *= single + double
-        total += double * lead
-        lead *= single
-    return total.sum(axis=-1)
+    poly = np.zeros((len(rows) + 1,) + rows.shape[1:], dtype=complex)
+    poly[0] = 1.0
+    for g, row in enumerate(rows):
+        single = row * c1[g]
+        double = row * row
+        double *= c2[g]
+        np.multiply(poly[g], double, out=poly[g + 1])
+        for k in range(g, 0, -1):
+            poly[k] *= single
+            poly[k] += poly[k - 1] * double
+        poly[0] *= single
+    return np.moveaxis(poly[1:].sum(axis=-1), 0, -1)
 
 
 def permanent(a) -> complex:
@@ -262,7 +256,7 @@ def _clicked_subset_sums(
     s: np.ndarray,
     clicked: tuple[int, ...],
     silent: tuple[int, ...] = (),
-    weights: tuple[float, float] | None = None,
+    doubled: bool = False,
 ) -> np.ndarray:
     """For each of g Gram matrices `s` (g, n, n) and p photon sets `u`
     (p, n_rows, n), shape (g, p), the inclusion-exclusion sum
@@ -273,9 +267,9 @@ def _clicked_subset_sums(
     over the clicked rows C, with F every row neither clicked nor silent.
     Needs n >= |C|. The H_T stack is built once and each Gram matrix runs
     one kernel call on it (notes/decisions.md, "One H_T stack per table").
-    With `weights` = (w1, w2) each perm is the weighted sum over the
-    doublings of the photons (a second photon in a photon's mode and
-    state) of `permanent_mixture_batch`.
+    With `doubled` each perm is `permanent_mixture_batch`'s D_1..D_n over
+    the doublings of the photons (a second photon in a photon's mode and
+    state), and the result gains a trailing axis, shape (g, p, n).
 
     Without doublings and with n == |C| no photon is left for F, so only
     the clicked rows enter. The sum is then linear in |U[m, k]|**2 for
@@ -286,7 +280,7 @@ def _clicked_subset_sums(
     Returns real values.
     """
     shift = 0
-    if weights is None and u.shape[-1] == len(clicked):
+    if not doubled and u.shape[-1] == len(clicked):
         u = u[:, list(clicked)]
         e_col = np.maximum(np.frexp(np.hypot.reduce(np.abs(u), axis=1))[1], -1021)
         u = u * np.ldexp(1.0, -e_col)[:, None, :]
@@ -299,8 +293,8 @@ def _clicked_subset_sums(
     masks[:, list(silent)] = 0.0
     masks[:, list(clicked)] = table.T.real
     h = (u.conj().transpose(0, 2, 1)[:, None] * masks[:, None, :]) @ u[:, None]
-    kernel = permanent_batch if weights is None else lambda a: permanent_mixture_batch(a, *weights)
-    sums = np.array([(kernel(h * s_g) * signs).sum(axis=-1) for s_g in s])
+    kernel = permanent_mixture_batch if doubled else permanent_batch
+    sums = np.array([(np.moveaxis(kernel(h * s_g), 1, -1) * signs).sum(axis=-1) for s_g in s])
     return np.ldexp(_real_part(sums, "detection probability"), shift)
 
 

@@ -25,10 +25,11 @@ with S_AB the overlaps of copy A's photons with copy B's; the raw test
 has one photon per copy, so W = |S_03|^2 there. No circuit is built.
 Under multiphoton noise (g2 > 0) every input may carry a doubled
 emission: the placement without one takes the same closed form, scaled by
-the reference circuit's route amplitudes, and the weighted sum of all
-others is one evaluation of Ryser's formula with multiplicities on the
-base photons of both circuits, the emission weights folded into one
-factor per photon (`_mixture_probabilities`).
+the reference circuit's route amplitudes, and the sums D_k of the others
+by their number k of doublings are one evaluation of Ryser's formula with
+multiplicities on the base photons of both circuits
+(`_mixture_probabilities`). The emission probability p2 enters only in
+`_at_p2`, as P_0 + sum_k t^k D_k with t = p2 / (2 (1 - p2)).
 
 `signature_probability` and `hom_visibility` evaluate any signature on any
 circuit: the inclusion-exclusion of `permanents._clicked_subset_sums` over
@@ -257,28 +258,31 @@ def _heralds(config: NoiseConfig) -> bool:
 
 
 def _mixture_probabilities(
-    circuits: tuple[TransferMatrix, TransferMatrix], grams, r_final: float, p2: float
+    circuits: tuple[TransferMatrix, TransferMatrix], grams, r_final: float
 ) -> np.ndarray:
-    """(P_out, P_ref), shape (g, 2), of the photons of each matrix of a
-    stack of Gram matrices `grams`, 2 x 2 (raw test) or 4 x 4 (purified), through
-    the purifier circuits (`out`, `ref`) under the two-photon mixture.
+    """The coefficients [P_0, D_1..D_N] of (P_out, P_ref) in t, shape
+    (g, 2, N + 1), of the photons of each matrix of a stack of Gram
+    matrices `grams`, 2 x 2 (raw test) or 4 x 4 (purified), through the
+    purifier circuits (`out`, `ref`) under the two-photon mixture.
 
     Each of the N base photons independently carries a doubled emission
     with probability p2, a second photon in its mode and internal state.
     The base modes are distinct, so a placement M of doubled photons has
     input norm 2^|M|, and
 
-        P = (1 - p2)^N P_0 + sum_{M nonempty} (1 - p2)^(N - |M|) (p2 / 2)^|M| P_M,
+        P = (1 - p2)^N (P_0 + sum_{k=1..N} t^k D_k),   t = p2 / (2 (1 - p2)),
 
-    with P_M the unnormalised signature sum of placement M. Without a
-    doubling the base photons fill the clicked detectors and the g2 = 0
-    closed form holds: P_ref,0 = K N and P_out,0 = P_ref,0 (1 - V) / 2,
-    with N and V from `_heralded_overlaps` and K the product over the
-    photons of |U[reached, mode]|^2 in `ref`: one heralded route per
-    photon, and every route gives the same K. The rest is Ryser's formula
-    with multiplicities on the base photons of both circuits
-    (`permanents._clicked_subset_sums` with the emission weights). K and
-    the H_T stack are formed once for all of `grams`.
+    with D_k the sum of the unnormalised signature sums of the placements
+    of k doubled photons. `_at_p2` evaluates it without (1 - p2)^N, which
+    cancels in 1 - 2 P_out / P_ref. Without a doubling the base photons
+    fill the clicked detectors and the g2 = 0 closed form holds:
+    P_ref,0 = K N and P_out,0 = P_ref,0 (1 - V) / 2, with N and V from
+    `_heralded_overlaps` and K the product over the photons of
+    |U[reached, mode]|^2 in `ref`: one heralded route per photon, and
+    every route gives the same K. D_1..D_N are Ryser's formula with
+    multiplicities on the base photons of both circuits
+    (`permanents._clicked_subset_sums` with `doubled`). K and the H_T
+    stack are formed once for all of `grams`.
     """
     grams = np.asarray(grams)
     if grams.shape[-1] == 2:
@@ -290,10 +294,20 @@ def _mixture_probabilities(
     singles = np.stack([norm * k * (1.0 - _hom(r_final, w)) / 2.0, norm * k], axis=1)
     u_in = np.stack([circuit.matrix[:, modes] for circuit in circuits])
     doubled = _clicked_subset_sums(
-        u_in, grams, pattern.clicked_modes, pattern.silent_modes,
-        weights=(1.0 - p2, p2 / 2.0),
+        u_in, grams, pattern.clicked_modes, pattern.silent_modes, doubled=True
     )
-    return (1.0 - p2) ** len(modes) * singles + doubled
+    return np.concatenate([singles[..., None], doubled], axis=-1)
+
+
+def _at_p2(coefs: np.ndarray, p2) -> np.ndarray:
+    """sum_k t^k coefs[..., k] at t = p2 / (2 (1 - p2)), `p2` broadcast
+    against coefs[..., 0], by Horner's rule elementwise: no matmul runs
+    over k, so a row's bits do not depend on the stack it rides in."""
+    t = p2 / (2.0 * (1.0 - p2))
+    p = coefs[..., -1]
+    for k in range(coefs.shape[-1] - 2, -1, -1):
+        p = p * t + coefs[..., k]
+    return p
 
 
 def _raw_gram(s4: np.ndarray) -> np.ndarray:
@@ -322,34 +336,33 @@ def _visibilities(s4: np.ndarray, configs) -> np.ndarray:
     `_hom(r_final, W)` for both tests, after `_heralds` passes their
     configs; no circuit is built. The g2 > 0 rows are grouped by their
     optics (the config at g2 = 0), whose circuits are built once, and make
-    one `_mixture_probabilities` call per g2 and Gram size."""
+    one `_mixture_probabilities` call per optics and Gram size, which
+    `_at_p2` evaluates at each row's own p2."""
     stacks = (_raw_gram(s4), s4)
     rows = {}
     for j, config in enumerate(configs):
         rows.setdefault(config, []).append(j)
     visibilities = np.empty((len(s4), 2))
-    zero, r_final, optics = [], [], {}
+    zero, r_final, optics, p2s = [], [], {}, np.empty(len(s4))
     for config, group in rows.items():
-        if p2_from_g2(config.g2) == 0.0:
+        p2s[group] = p2 = p2_from_g2(config.g2)
+        if p2 == 0.0:
             if not _heralds(config):
                 raise ValueError(_DEGENERATE)
             zero += group
             r_final += [config.r_final] * len(group)
         else:
-            optics.setdefault(replace(config, g2=0.0), []).append(config)
+            optics.setdefault(replace(config, g2=0.0), []).extend(group)
     if zero:
         for column, stack in enumerate(stacks):
             visibilities[zero, column] = _hom(np.array(r_final), _heralded_overlaps(stack[zero])[0])
-    for base, group in optics.items():
+    for base, at in optics.items():
         circuits = purifier_circuits(
             base.r1, base.r2, base.r_final, base.transmissions, base.loss_stage
         )
-        for config in group:
-            at = rows[config]
-            for column, stack in enumerate(stacks):
-                visibilities[at, column] = _from_probabilities(_mixture_probabilities(
-                    circuits, stack[at], config.r_final, p2_from_g2(config.g2)
-                ))
+        for column, stack in enumerate(stacks):
+            coefs = _mixture_probabilities(circuits, stack[at], base.r_final)
+            visibilities[at, column] = _from_probabilities(_at_p2(coefs, p2s[at, None]))
     return visibilities
 
 
@@ -402,16 +415,17 @@ def g2_sweep(g2s, c: float) -> list[dict]:
 
 SWEEP_MODELS = ("multipermanent", "pure_dephasing", "multipermanent_g2")
 
-# D_1..D_4 of the balanced lossless purifier, `out` and `ref` circuits: row
-# k - 1 holds the coefficients of c^0..c^8 of the signature sum of every
-# placement of k doubled photons, in units of 2^-16 (`_g2_column`).
+# P_0, D_1..D_4 of the balanced lossless purifier's `out` and `ref`: row k
+# holds c^0..c^8 of the placements of k doubled photons, in 2^-16 units.
 _D_OUT = np.array([
+    [512, 0, 512, -1024, 0, 0, 0, 0, 0],
     [4608, 0, 10752, -7168, 3072, -2048, 0, 0, 0],
     [10720, 0, 39936, -17280, 24416, -14464, -896, 0, 0],
     [9408, 0, 51456, -16640, 56448, -28800, 1856, -4608, 0],
     [2816, 0, 21176, -5408, 39072, -16080, 7992, -8112, 592],
 ]) / 2.0**16
 _D_REF = np.array([
+    [1024, 0, 2048, 0, 1024, 0, 0, 0, 0],
     [6144, 0, 18432, 0, 12288, 0, 0, 0, 0],
     [12800, 0, 54784, 0, 54784, 0, 3584, 0, 0],
     [10752, 0, 64512, 0, 96768, 0, 21504, 0, 0],
@@ -422,26 +436,18 @@ _D_REF = np.array([
 def _g2_column(cs: list[float], p2: float) -> list[float]:
     """Purified visibility at constant overlap c, for each c of `cs` in
     [0, 1], on the balanced lossless purifier at two-photon emission
-    probability `p2` > 0, in closed form.
-
-    `_mixture_probabilities` divided by (1 - p2)^4, a factor that cancels
-    in 1 - 2 P_out / P_ref, is P_0(c) + sum_{k=1..4} t^k D_k(c) with
-    t = p2 / (2 (1 - p2)). P_0 is the g2 = 0 closed form K N and
-    K N (1 - W) / 2, with K = 1/256, N = 4 (1 + c^2)^2 and
-    W = c^2 (1 + c)^2 / (1 + c^2)^2, so P_0 of the output test is
-    ((1 + c^2)^2 - c^2 (1 + c)^2) / 128; D_k, the signature sum of the
-    placements of k doubled photons, is a polynomial of degree <= 8 in c
-    with dyadic coefficients (`_D_OUT`, `_D_REF`; their derivation is in
-    notes/decisions.md, "The sweep's g2 column in closed form"). No
-    circuit, Gram matrix or kernel call is made."""
-    c = np.asarray(cs, dtype=float)
-    t = p2 / (2.0 * (1.0 - p2))
-    ts = t ** np.arange(1, 5)
-    powers = c[:, None] ** np.arange(9)
-    n = (1.0 + c * c) ** 2
-    p = np.stack([(n - (c * (1.0 + c)) ** 2) / 128.0 + powers @ (ts @ _D_OUT),
-                  n / 64.0 + powers @ (ts @ _D_REF)], axis=1)
-    return _from_probabilities(p).tolist()
+    probability `p2` > 0, in closed form: there the coefficients P_0 and
+    D_1..D_4 of `_mixture_probabilities` are polynomials of degree <= 8 in
+    c with dyadic coefficients (`_D_OUT`, `_D_REF`; derivation in
+    notes/decisions.md, "The sweep's g2 column in closed form"), taken
+    through `_at_p2` like every other g2 > 0 row. P_0 is the g2 = 0 closed
+    form K N and K N (1 - W) / 2 with K = 1/256, N = 4 (1 + c^2)^2 and
+    W = c^2 (1 + c)^2 / (1 + c^2)^2: (1 + c^2)^2 / 64 and
+    (1 + c^2 - 2 c^3) / 128. No circuit, Gram matrix or kernel call is
+    made."""
+    powers = np.asarray(cs, dtype=float)[:, None] ** np.arange(9)
+    coefs = np.stack([powers @ _D_OUT.T, powers @ _D_REF.T], axis=1)
+    return _from_probabilities(_at_p2(coefs, p2)).tolist()
 
 
 def raw_visibility_sweep(v_raws, models, g2: float) -> list[dict]:

@@ -17,8 +17,8 @@ kept to pin the real cos/sin accumulation that replaced it. The rational
 pure-dephasing form is the package's earlier `pd_purified`, kept to pin
 the moment formula that replaced it. The full-temporary mixture kernel
 is the package's earlier `permanent_mixture_batch` on the package's Ryser
-tables, kept to pin the bits of the photon-major in-place loop that
-replaced it. `lossy_circuit` is a test fixture
+tables, kept to pin the unweighted degree-axis kernel that replaced it,
+weighted per degree. `lossy_circuit` is a test fixture
 builder, not an oracle: it dilates random circuits with the package's own
 couplers.
 """
@@ -195,9 +195,10 @@ def batch_permanent_ryser(stack: np.ndarray) -> np.ndarray:
 
 
 def mixture_kernel_full_temporaries(a, w1: float, w2: float) -> np.ndarray:
-    """`permanent_mixture_batch` as it was before the photon-major loop:
-    full single and doubled factor arrays, walked by strided photon
-    slices, with the same multiplications in the same order."""
+    """The weighted sum over doublings, sum_{M nonempty} w1**(n - |M|)
+    w2**|M| perm(A[M]), as `permanent_mixture_batch` computed it before
+    the photon-major loop and the degree axis: full single and doubled
+    factor arrays, walked by strided photon slices."""
     a = permanents._square_stack(a)
     table, (c1, c2), _ = permanents._ryser_tables(a.shape[-1], 2)
     rows = a @ table

@@ -516,6 +516,11 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
         ({"sweep": "polarization", "start": False, "stop": 45, "points": 3}, "'start'"),
         ({"sweep": "raw_visibility", "start": 1e-320, "stop": 1.0, "points": 3,
           "models": ["pure_dephasing"]}, "'start'"),
+        # rejected before the grid is allocated
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 1e308, "c": 0.9},
+         "'points'"),
+        ({"sweep": "final_bs", "start": 0.3, "stop": 0.5, "points": 100001, "c": 0.9},
+         "'points'"),
     ],
     ids=["v-raw-zero-pure-dephasing", "v-raw-above-1", "g2-half", "c-above-1", "c2-text",
          "points-text", "polarization-g2", "polarization-c", "g2-sweep-g2",
@@ -524,7 +529,7 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
          "models-unknown", "g2-sweep-without-c", "final-bs-without-c", "invalid-json",
          "top-level-list", "top-level-number", "top-level-null", "top-level-string",
          "not-utf8", "points-fraction", "points-true", "c-true", "start-false",
-         "v-raw-subnormal-pure-dephasing"],
+         "v-raw-subnormal-pure-dephasing", "points-huge", "points-over-bound"],
 )
 def test_sweep_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)

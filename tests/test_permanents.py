@@ -103,21 +103,17 @@ def doubled(a, m):
 
 
 def test_mixture_kernel_matches_expanded_doublings():
-    """The per-photon factorisation of Ryser's formula with multiplicities
-    is the weighted sum of the permanents of the matrices whose doubled
-    rows and columns are written out, and exactly 0 without doublings."""
+    """Each D_k of the degree axis is the sum of the permanents of the
+    matrices with exactly k doubled rows and columns written out."""
     rng = np.random.default_rng(14)
-    for n, (w1, w2) in itertools.product(range(1, 5), ((1.0, 0.0), (0.97, 0.015), (0.2, 0.4))):
+    for n in range(1, 5):
         stack = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
-        vals = permanent_mixture_batch(stack, w1, w2)
-        assert vals.shape == (2,)
-        if w2 == 0.0:
-            assert (vals == 0.0).all()
-            continue
-        for k in range(2):
-            ref = sum(w1 ** (n - bin(m).count("1")) * w2 ** bin(m).count("1")
-                      * permanent_naive(doubled(stack[k], m)) for m in range(1, 1 << n))
-            assert abs(vals[k] - ref) <= 1e-12 * abs(ref), (n, w1, w2)
+        vals = permanent_mixture_batch(stack)
+        assert vals.shape == (2, n)
+        for i, k in itertools.product(range(2), range(1, n + 1)):
+            ref = sum(permanent_naive(doubled(stack[i], m))
+                      for m in range(1 << n) if bin(m).count("1") == k)
+            assert abs(vals[i, k - 1] - ref) <= 1e-12 * abs(ref), (n, i, k)
 
 
 def test_mixture_kernel_stack_matches_single_calls():
@@ -126,49 +122,50 @@ def test_mixture_kernel_stack_matches_single_calls():
     rng = np.random.default_rng(15)
     for n in range(1, 5):
         stack = rng.normal(size=(3, 5, n, n)) + 1j * rng.normal(size=(3, 5, n, n))
-        vals = permanent_mixture_batch(stack, 0.97, 0.015)
-        assert vals.shape == (3, 5)
+        vals = permanent_mixture_batch(stack)
+        assert vals.shape == (3, 5, n)
         for i, j in itertools.product(range(3), range(5)):
-            assert vals[i, j] == permanent_mixture_batch(stack[i, j], 0.97, 0.015), (n, i, j)
+            assert (vals[i, j] == permanent_mixture_batch(stack[i, j])).all(), (n, i, j)
 
 
-def test_mixture_kernel_keeps_full_temporary_bits():
-    """The photon-major in-place loop makes the multiplications of the
-    earlier full-temporary kernel in the same order, so every value keeps
-    its bits, on plain and stacked inputs and at every weight pair."""
+def test_mixture_kernel_matches_full_temporary_kernel():
+    """The degree axis weighted by w1**(n - k) w2**k is the earlier
+    weighted full-temporary kernel, on plain and stacked inputs and at
+    every weight pair; exactly 0 at w2 = 0."""
     rng = np.random.default_rng(16)
     for n, (w1, w2), shape in itertools.product(
         range(1, 6), ((0.97, 0.015), (0.2, 0.4), (1.0, 0.0)), ((2,), (3, 5))
     ):
         stack = rng.normal(size=(*shape, n, n)) + 1j * rng.normal(size=(*shape, n, n))
-        new = permanent_mixture_batch(stack, w1, w2)
+        k = np.arange(1, n + 1)
+        new = (w1 ** (n - k) * w2**k * permanent_mixture_batch(stack)).sum(axis=-1)
         old = mixture_kernel_full_temporaries(stack, w1, w2)
-        assert np.array_equal(new, old), (n, w1, w2, shape)
+        assert (np.abs(new - old) <= 1e-11 * np.abs(old)).all(), (n, w1, w2, shape)
 
 
 def test_clicked_subset_sums_gram_axis_matches_single_calls():
     """One call on a stack of three Gram matrices gives the bits of the
     three calls on one Gram matrix each: the H_T stack of the photon sets
     is shared, and each Gram matrix runs its own kernel call. Filled
-    signatures without weights, an unfilled lossy signature and the
-    weighted mixture are covered."""
+    signatures, an unfilled lossy signature and the doubled placements
+    are covered."""
     rng = np.random.default_rng(25)
     transmissions = (0.9, 0.8, 0.7, 0.95, 0.6, 0.85)
     circuits = purifier_circuits(0.4, 0.55, 0.45, transmissions, "after_first_bs")
     base = np.stack([c.matrix[:, [0, 1, 4, 5]] for c in circuits])  # (2, 12, 4)
     cases = [
-        (base[:, :, [0, 3]], (2, 3), (), None),  # filled: raw pair on the coincidences
-        (base, (2, 3), (), None),  # unfilled: two photons left for the free rows
-        (base, (1, 2, 3, 4), (0, 5), (0.9, 0.05)),  # emission mixture
+        (base[:, :, [0, 3]], (2, 3), (), False),  # filled: raw pair on the coincidences
+        (base, (2, 3), (), False),  # unfilled: two photons left for the free rows
+        (base, (1, 2, 3, 4), (0, 5), True),  # doubled emissions, per number of doublings
     ]
-    for u, clicked, silent, weights in cases:
+    for u, clicked, silent, mixture in cases:
         grams = np.stack([random_gram(u.shape[-1], rng) for _ in range(3)])
-        stacked = permanents._clicked_subset_sums(u, grams, clicked, silent, weights)
+        stacked = permanents._clicked_subset_sums(u, grams, clicked, silent, mixture)
         singles = np.concatenate([
-            permanents._clicked_subset_sums(u, s[None], clicked, silent, weights) for s in grams
+            permanents._clicked_subset_sums(u, s[None], clicked, silent, mixture) for s in grams
         ])
-        assert stacked.shape == (3, 2)
-        assert (stacked == singles).all(), (clicked, weights)
+        assert stacked.shape == ((3, 2, 4) if mixture else (3, 2))
+        assert (stacked == singles).all(), (clicked, mixture)
 
 
 def test_permanent_rejects_non_square():

@@ -19,6 +19,7 @@ from hompurify import (
     constant_overlap_S,
     evaluate_scenario,
     evaluate_scenarios,
+    g2_sweep,
     hom_visibility,
     multiphoton_visibility,
     multipermanent,
@@ -33,6 +34,7 @@ from hompurify import (
     signature_probability,
     success_probability,
 )
+from hompurify import protocol
 from hompurify.circuits import TransferMatrix
 from hompurify.protocol import (
     COINCIDENCE_PATTERN,
@@ -293,14 +295,23 @@ def test_raw_visibility_sweep_matches_per_row_calls():
         raw_visibility_sweep([0.8], ["nope"], 0.0)
 
 
+def _in_p2(coefs, p2: float) -> np.ndarray:
+    """The mixture probabilities (P_out, P_ref) of `_mixture_probabilities`'
+    coefficients (..., 2, N + 1) in t = p2 / (2 (1 - p2)), the common factor
+    (1 - p2)^N included, by numpy's power series."""
+    t = p2 / (2.0 * (1.0 - p2))
+    n = coefs.shape[-1] - 1
+    return (1.0 - p2) ** n * np.polynomial.polynomial.polyval(t, np.moveaxis(coefs, -1, 0))
+
+
 def _chebyshev_g2_column(cs, g2: float, n_nodes: int) -> np.ndarray:
     """The sweep's g2 column rebuilt apart from `src/`: P_out and P_ref at
     `n_nodes` first-kind Chebyshev nodes on [0, 1], each fitted by numpy's
     Chebyshev series of degree n_nodes - 1 and evaluated at `cs`."""
     nodes = 0.5 + 0.5 * np.cos((2 * np.arange(n_nodes) + 1) * np.pi / (2 * n_nodes))
     grams = [constant_overlap_S(4, c).entries for c in nodes]
-    at_nodes = _mixture_probabilities(purifier_circuits(0.5, 0.5, 0.5), grams, 0.5,
-                                      p2_from_g2(g2))
+    at_nodes = _in_p2(_mixture_probabilities(purifier_circuits(0.5, 0.5, 0.5), grams, 0.5),
+                      p2_from_g2(g2))
     p_out, p_ref = (np.polynomial.Chebyshev.fit(nodes, at_nodes[:, i], n_nodes - 1,
                                                 domain=[0, 1])(cs) for i in (0, 1))
     return 1.0 - 2.0 * p_out / p_ref
@@ -324,21 +335,31 @@ def test_raw_visibility_sweep_g2_column_matches_per_row_calls(g2):
 
 
 def test_g2_column_tables_match_the_mixture_kernel():
-    """P_out and P_ref of the table, P_0(c) + sum_k t^k D_k(c) evaluated by
-    Horner's rule here, against `_mixture_probabilities / (1 - p2)^4` at 50
-    seeded (c, p2) over c in [0, 1] and the whole g2 range."""
-    rng = np.random.default_rng(32)
-    cs = rng.uniform(0.0, 1.0, 50)
-    p2s = p2_from_g2(0.49) * (1.0 - rng.uniform(0.0, 1.0, 50))  # in (0, p2_from_g2(0.49)]
-    circuits = purifier_circuits(0.5, 0.5, 0.5)
-    for c, p2 in zip(cs, p2s):
-        t = p2 / (2.0 * (1.0 - p2))
-        singles = (1.0 + c * c) ** 2 - c * c * (1.0 + c) ** 2, 2.0 * (1.0 + c * c) ** 2
-        table = [singles[i] / 128.0 + np.polynomial.polynomial.polyval(
-                     c, t ** np.arange(1, 5) @ d) for i, d in enumerate((_D_OUT, _D_REF))]
-        kernel = _mixture_probabilities(circuits, [constant_overlap_S(4, c).entries], 0.5,
-                                        p2)[0] / (1.0 - p2) ** 4
-        assert table == pytest.approx(kernel.tolist(), rel=1e-13, abs=0), (c, p2)
+    """Each row k = 0..4 of the tables, P_0(c) and D_1(c)..D_4(c) evaluated
+    by numpy's power series here, against the coefficient of t^k of
+    `_mixture_probabilities` at 50 seeded c in [0, 1]."""
+    cs = np.random.default_rng(32).uniform(0.0, 1.0, 50)
+    kernel = _mixture_probabilities(purifier_circuits(0.5, 0.5, 0.5),
+                                    [constant_overlap_S(4, c).entries for c in cs], 0.5)
+    for i, table in enumerate((_D_OUT, _D_REF)):
+        for k in range(5):
+            assert np.polynomial.polynomial.polyval(cs, table[k]) == pytest.approx(
+                kernel[:, i, k], rel=1e-13, abs=0), (i, k)
+
+
+def test_g2_sweep_makes_one_mixture_call_per_gram_size(monkeypatch):
+    """A 21-point g2 sweep shares its optics on every row: one
+    `_mixture_probabilities` call for the raw and one for the purified
+    Gram size, each evaluated at the 20 values of p2 > 0."""
+    calls = []
+
+    def counted(circuits, grams, r_final):
+        calls.append(np.shape(grams))
+        return _mixture_probabilities(circuits, grams, r_final)
+
+    monkeypatch.setattr(protocol, "_mixture_probabilities", counted)
+    g2_sweep(np.linspace(0.0, 0.2, 21), 0.9)
+    assert sorted(calls) == [(20, 2, 2), (20, 4, 4)]
 
 
 @pytest.mark.parametrize("g2", [0.07, 0.2, 0.49])
@@ -745,7 +766,7 @@ def test_doubled_emissions_match_expanded_placements(
     circuits = purifier_circuits(r1, r2, r_final, transmissions, loss_stage)
     for modes, s, pattern in (((0, 5), _raw_gram(s4), COINCIDENCE_PATTERN),
                               ((0, 1, 4, 5), s4, HERALDED_PATTERN)):
-        got = _mixture_probabilities(circuits, [s], r_final, p2)[0]
+        got = _in_p2(_mixture_probabilities(circuits, [s], r_final)[0], p2)
         want = [expanded_mixture_probability(c, modes, s, pattern, p2) for c in circuits]
         assert got == pytest.approx(want, rel=0, abs=1e-13)
 
