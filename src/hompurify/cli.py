@@ -1,6 +1,11 @@
 """Command-line interface: scenario simulation, parameter sweeps, count
 fitting and the dephasing Monte Carlo.
 
+Every command writes its table through `write_rows`: CSV with the input
+echoed as comment lines, or `--format json`, whose bytes are exactly
+those of `json.dumps({"config": ..., "rows": ...}, sort_keys=True,
+indent=2)` plus a newline, written in one pass by `_json_text`.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -13,6 +18,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -22,6 +28,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 DEFAULT_DEMUX_SPLIT = histogram_fit.SetupGeometry.demux_split
+# mc-dephasing's bounds, checked before the sampler allocates: at all three
+# its Gram matrices (samples x photons^2 complex) take 205 MB and its two
+# live chunks of phase draws (128 x photons x (steps + 1) floats) 655 MB
+MAX_SAMPLES = 200_000
+MAX_PHOTONS = 8
+MAX_STEPS = 40_000  # horizon / dt
 
 
 class ConfigError(Exception):
@@ -41,12 +53,89 @@ def _echo_lines(config: dict) -> list[str]:
     return lines
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(value) -> str:
+    """One JSON scalar as `json` writes it: floats by `float.__repr__`
+    with NaN and ±Infinity for the non-finite, strings ASCII-escaped."""
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE[text] if "n" in text else text
+    if kind is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return _json_scalar(float(value))
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_value(value, indent: str) -> str:
+    """`value` as `json.dumps(sort_keys=True, indent=2)` writes it nested
+    at the depth whose line break is `indent` ("\\n" and the spaces).
+    Dict keys must be str. A list of exact floats is joined in one call,
+    unless the joined text holds a nan or inf."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _json_scalar(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        return "{" + inner + sep.join([
+            _quote(key) + ": " + _json_value(item, inner) for key, item in sorted(value.items())
+        ]) + indent + "}"
+    if set(map(type, value)) == {float}:
+        text = sep.join(map(float.__repr__, value))
+        if "n" not in text:
+            return "[" + inner + text + indent + "]"
+    return "[" + inner + sep.join([_json_value(item, inner) for item in value]) + indent + "]"
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """The "rows" list of `_json_text`. When every row has the keys of the
+    first and every cell is a scalar, it is written as a table: each key
+    is encoded once, and a row is its cells joined behind those key
+    prefixes. Anything else takes the nested path."""
+    keys = sorted(rows[0]) if rows else []
+    if keys and all(row.keys() == rows[0].keys() for row in rows):
+        heads = [",\n      " + _quote(key) + ": " for key in keys]
+        heads[0] = heads[0][1:]
+        try:
+            return "[\n    {" + "\n    },\n    {".join([
+                "".join(map(str.__add__, heads, map(_json_scalar, map(row.__getitem__, keys))))
+                for row in rows
+            ]) + "\n    }\n  ]"
+        except TypeError:  # a container cell, or one that is not JSON at all
+            pass
+    return _json_value(rows, "\n  ")
+
+
+def _json_text(rows: list[dict], config: dict) -> str:
+    """The bytes of `json.dumps({"config": config, "rows": rows},
+    sort_keys=True, indent=2) + "\\n"`, which on Python 3.10 to 3.12 runs
+    the pure-Python encoder because of `indent`."""
+    return ('{\n  "config": ' + _json_value(config, "\n  ")
+            + ',\n  "rows": ' + _json_rows(rows) + "\n}\n")
+
+
 def write_rows(rows: list[dict], config: dict, out_path, fmt: str) -> None:
     """Emit a result table with a full input echo; CSV gets the echo as
-    comment lines, JSON as a config block. Identical inputs produce
-    byte-identical output."""
+    comment lines, JSON as a config block with the bytes of
+    `json.dumps(sort_keys=True, indent=2)` (`_json_text`). Identical
+    inputs produce byte-identical output."""
     if fmt == "json":
-        text = json.dumps({"config": config, "rows": rows}, sort_keys=True, indent=2) + "\n"
+        text = _json_text(rows, config)
     else:
         header = list(rows[0].keys())
         lines = _echo_lines(config)
@@ -115,25 +204,36 @@ _G2 = (lambda v: 0.0 <= v < 0.5, "a number in [0, 0.5)")
 _COUNT = (lambda v: 1.0 <= v <= 100000.0 and v.is_integer(), "an integer in [1, 100000]")
 
 
-def _checked(value, field: str, rule, context: str | None = None) -> float:
-    """`value` as a finite float inside `rule`, or a ConfigError naming
-    `field` and the expected range. JSON true and false are not numbers."""
-    ok, expect = rule
+def _number(value, rule) -> float | None:
+    """`value` as a finite float inside `rule`, or None. JSON true and
+    false are not numbers."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
-        number = math.nan
-    if not (math.isfinite(number) and ok(number)):
+        return None
+    return number if math.isfinite(number) and rule[0](number) else None
+
+
+def _checked(value, field: str, rule, context: str | None = None) -> float:
+    """`value` as a finite float inside `rule`, or a ConfigError naming
+    `field` and the expected range."""
+    number = _number(value, rule)
+    if number is None:
         prefix = f"{context}: " if context else ""
-        raise ConfigError(f"{prefix}{field} must be {expect}, got {value!r}")
+        raise ConfigError(f"{prefix}{field} must be {rule[1]}, got {value!r}")
     return number
 
 
 def _fractions(values, field: str, count: int, context: str) -> list[float]:
-    """A list of `count` numbers in [0, 1]."""
+    """A list of `count` numbers in [0, 1]. An element is named, as
+    'field'[i], only when it is rejected."""
     if not isinstance(values, list) or len(values) != count:
         raise ConfigError(f"{context}: {field!r} must list {count} numbers in [0, 1]")
-    return [_checked(v, f"{field!r}[{i}]", _UNIT, context) for i, v in enumerate(values)]
+    numbers = [_number(v, _UNIT) for v in values]
+    if None in numbers:
+        i = numbers.index(None)
+        _checked(values[i], f"{field!r}[{i}]", _UNIT, context)  # raises
+    return numbers
 
 
 # the fields each scenario model and each sweep kind reads; any other exits 2
@@ -345,12 +445,21 @@ def cmd_mc_dephasing(args) -> int:
         raise ConfigError(
             f"--photons must be at least 4 for the four-photon cycle, got {args.photons}"
         )
+    for flag, value, bound in (("--samples", args.samples, MAX_SAMPLES),
+                               ("--photons", args.photons, MAX_PHOTONS)):
+        if value > bound:
+            raise ConfigError(f"{flag} must be at most {bound}, got {value}")
     for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
         if value is not None:
             _checked(value, flag, _POSITIVE)
+    dt, horizon = distinguishability.sampler_grid(params, args.dt, args.horizon)
+    if horizon / dt > MAX_STEPS:
+        raise ConfigError(
+            f"--horizon / --dt must be at most {MAX_STEPS} time steps, got {horizon!r} / {dt!r}"
+        )
     samples = distinguishability.sample_dephased_overlaps(
         params, n_photons=args.photons, n_samples=args.samples, seed=args.seed,
-        dt=args.dt, horizon=args.horizon,
+        dt=dt, horizon=horizon,
     )
     per_sample = dephasing.moment_samples(samples)
     moments = dephasing.OverlapMoments(**{k: float(v.mean()) for k, v in per_sample.items()})

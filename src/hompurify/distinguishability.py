@@ -148,6 +148,14 @@ def _gram_chunk(phi, det_phase, density, out):
     out[...] = grams
 
 
+def sampler_grid(params: DephasingParams, dt: float | None = None,
+                 horizon: float | None = None) -> tuple[float, float]:
+    """The time step and horizon of `sample_dephased_overlaps`: `dt` and
+    `horizon`, or 0.01 / gamma and 15 / gamma where they are None."""
+    return (0.01 / params.gamma if dt is None else float(dt),
+            15.0 / params.gamma if horizon is None else float(horizon))
+
+
 def sample_dephased_overlaps(
     params: DephasingParams,
     n_photons: int,
@@ -188,8 +196,7 @@ def sample_dephased_overlaps(
     if n_photons < 2:
         raise ValueError("need at least two photons for overlaps")
     gamma, gamma_d = params.gamma, params.gamma_d
-    dt = 0.01 / gamma if dt is None else float(dt)
-    horizon = 15.0 / gamma if horizon is None else float(horizon)
+    dt, horizon = sampler_grid(params, dt, horizon)
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
     deltas = np.zeros(n_photons) if not params.deltas else np.asarray(params.deltas, float)

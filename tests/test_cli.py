@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hompurify
 from hompurify import PeakCounts, SetupGeometry, pure_count_model, raw_count_model
-from hompurify.cli import build_parser, main
+from hompurify import cli
+from hompurify.cli import build_parser, main, write_rows
 
 
 def run_cli(capsys, *argv):
@@ -451,6 +455,8 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
         ({"scenarios": [{"model": "constant", "c": True}]}, "'c'"),
         ({"scenarios": [{"model": "pure_dephasing", "x": False}]}, "'x'"),
         ({"scenarios": [{"model": "polarization", "theta_deg": True}]}, "'theta_deg'"),
+        ({"scenarios": [{"model": "constant", "c": 0.9, "transmissions": [1, 1.5, 1, -1, 1, 1]}]},
+         "'transmissions'[1] must be a number in [0, 1], got 1.5"),
     ],
     ids=["x-negative", "x-text", "c-above-1", "c-text", "c2-negative", "g2-half",
          "theta-text", "reflectivities-text", "transmission-above-1", "scenarios-object",
@@ -459,7 +465,8 @@ def test_fit_rejects_out_of_range_flags(tmp_path, capsys, flags, field):
          "dephasing-transmissions", "dephasing-loss-stage", "top-level-scenario",
          "loss-stage-unknown", "direction-unknown", "model-unknown", "constant-without-c",
          "invalid-json", "top-level-list", "top-level-number", "top-level-null",
-         "top-level-string", "not-utf8", "c-true", "x-false", "theta-true"],
+         "top-level-string", "not-utf8", "c-true", "x-false", "theta-true",
+         "transmissions-first-rejected"],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, payload, field):
     config = write_json(tmp_path, "bad.json", payload)
@@ -576,19 +583,27 @@ def test_readme_configs_run(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_scipy():
+    """`import hompurify.cli` loads only the standard library, numpy and
+    the package itself: every other import adds to each command's start-up.
+    Modules that the interpreter's own start-up loaded (site hooks such as
+    `_distutils_hack`) are not counted."""
     src = str(Path(hompurify.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     # the dephasing sampler imports concurrent.futures itself, so the CLI's
     # start-up does not pay for it
     probe = (
-        "import sys, hompurify.cli; "
-        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
+        "import json, sys; before = set(sys.modules); import hompurify.cli; "
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(json.dumps([sorted(added - set(sys.stdlib_module_names)), "
+        "'scipy' in sys.modules, 'concurrent.futures' in sys.modules]))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == "False False"
+    foreign, scipy, futures = json.loads(done.stdout)
+    assert set(foreign) <= {"numpy", "hompurify"}, foreign
+    assert not scipy and not futures
 
 
 def test_mc_dephasing_reports(tmp_path, capsys):
@@ -666,9 +681,23 @@ def test_mc_dephasing_requires_seed(capsys):
         (["--gamma", "1", "--gamma-d", "-0.1"], "--gamma-d"),
         ([], "--x"),
         (["--gamma", "1"], "--gamma-d"),
+        (["--x", "0.2", "--samples", "200001"], "--samples"),
+        (["--x", "0.2", "--samples", "1000000000000"], "--samples"),
+        (["--x", "0.2", "--photons", "9"], "--photons"),
+        (["--x", "0.2", "--dt", "1e-6"], "--dt"),
+        (["--x", "0.2", "--dt", "5e-324"], "--dt"),
+        (["--x", "0.2", "--horizon", "1e6"], "--horizon"),
+        (["--x", "0.2", "--dt", "0.001", "--horizon", "40.001"], "--horizon"),
+        (["--gamma", "1e-4", "--gamma-d", "1e-4", "--dt", "0.01"], "--dt"),
     ],
 )
-def test_mc_dephasing_rejects_bad_flags(capsys, flags, field):
+def test_mc_dephasing_rejects_bad_flags(capsys, monkeypatch, flags, field):
+    """Each rejected flag exits 2 before the sampler is called, so a bound
+    that is missing fails here instead of allocating."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran on rejected flags")
+
+    monkeypatch.setattr(cli.distinguishability, "sample_dephased_overlaps", no_sampling)
     code, out, err = run_cli(capsys, "mc-dephasing", "--seed", "1", "--samples", "20", *flags)
     assert code == 2, err
     assert field in err
@@ -681,3 +710,103 @@ def test_out_naming_a_directory_exits_2(tmp_path, capsys):
     assert code == 2, err
     assert f"config error: {tmp_path}: cannot write the output file: it is a directory" in err
     assert stdout == ""
+
+
+def test_mc_dephasing_accepts_its_bounds(capsys, monkeypatch):
+    """The largest accepted values reach the sampler (which is replaced
+    here, so nothing is allocated)."""
+    calls = []
+
+    def sampler(params, n_photons, n_samples, seed, dt, horizon):
+        calls.append((n_photons, n_samples, horizon / dt))
+        return np.ones((n_samples, n_photons, n_photons), complex)
+
+    monkeypatch.setattr(cli.distinguishability, "sample_dephased_overlaps", sampler)
+    code, _, err = run_cli(capsys, "mc-dephasing", "--x", "0.2", "--seed", "1",
+                           "--samples", "200000", "--photons", "8", "--dt", "0.001",
+                           "--horizon", "40")
+    assert code == 0, err
+    assert calls == [(cli.MAX_PHOTONS, cli.MAX_SAMPLES, pytest.approx(cli.MAX_STEPS))]
+
+
+# JSON the writer must reproduce: every float json writes (±0.0, nan, ±inf,
+# subnormals, 1e16 and up), big ints, and str with quotes, backslashes,
+# control and non-ASCII characters
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1.5e300, -2.5e-310])
+TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é☃\U0001d11e", ""])
+SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | FLOATS | TEXT
+JSON = st.recursive(
+    SCALARS | st.lists(st.floats(allow_nan=False), max_size=4) | st.lists(FLOATS, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+CELLS = st.none() | st.booleans() | FLOATS | TEXT | FLOATS.map(np.float64)
+
+
+@st.composite
+def tables(draw):
+    """Rows that share their keys, each row with its own key order."""
+    keys = draw(st.lists(TEXT, max_size=6, unique=True))
+    return [{key: draw(CELLS) for key in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    config=st.dictionaries(TEXT, JSON, max_size=5),
+    rows=tables() | st.lists(st.dictionaries(TEXT, JSON, max_size=3), max_size=3),
+)
+@example(  # every non-finite float, scalar and in a float list, and a row with a list
+    config={"a": [0.5, math.nan, 1.0], "b": [math.inf], "c": -0.0, "d": [], "e": {}},
+    rows=[{"x": math.inf, "y": -math.inf, "z": math.nan}, {"z": [1.0, 2.0], "y": 0.0, "x": 1}],
+)
+@example(config={}, rows=[{"a": 1.0}, {"a": 2.0, "b": None}])  # rows with other keys
+@example(config={}, rows=[{"a": 1.0, "b": True}, {"a": False}])
+def test_json_writer_matches_json_dumps(tmp_path_factory, config, rows):
+    out = tmp_path_factory.getbasetemp() / "writer.json"  # one file, rewritten per example
+    write_rows(rows, config, str(out), "json")
+    expected = json.dumps({"config": config, "rows": rows}, sort_keys=True, indent=2) + "\n"
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(3), 1j, {1, 2}, b"bytes"])
+def test_json_writer_rejects_what_json_rejects(value):
+    for rows, config in (([{"a": value}], {}), ([{"a": 1.0}], {"a": [value]})):
+        with pytest.raises(TypeError):
+            json.dumps({"config": config, "rows": rows}, sort_keys=True, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_rows(rows, config, "-", "json")
+
+
+@pytest.mark.parametrize("command", [
+    "raw_visibility", "polarization", "first_bs", "second_bs", "final_bs", "g2",
+    "fit", "fit-mc", "mc-dephasing",
+])
+def test_json_output_is_json_dumps_indent_2(tmp_path, capsys, command):
+    """Every command's `--format json` file holds the bytes of
+    `json.dumps(sort_keys=True, indent=2)` of what it parses to."""
+    sweep = {"start": 0.3, "stop": 0.7, "points": 5, "c2": 0.8}
+    configs = {
+        "raw_visibility": {"start": 0.6, "stop": 0.9, "points": 4, "g2": 0.07, "models": [
+            "multipermanent", "pure_dephasing", "multipermanent_g2"]},
+        "polarization": {"start": 0, "stop": 45, "points": 4},
+        "first_bs": sweep, "second_bs": sweep, "final_bs": {**sweep, "g2": 0.05},
+        "g2": {"start": 0, "stop": 0.2, "points": 3, "c": 0.9},
+    }
+    if command in configs:
+        argv = ["sweep", "--config",
+                write_json(tmp_path, "sweep.json", {"sweep": command, **configs[command]})]
+    elif command.startswith("fit"):
+        argv = ["fit", "--counts", _write_raw_counts_file(tmp_path), "--mode", "raw"]
+        if command == "fit-mc":
+            argv += ["--mc-resamples", "100", "--seed", "3"]
+    else:
+        argv = ["mc-dephasing", "--x", "0.2", "--samples", "40", "--seed", "5",
+                "--dt", "0.05", "--horizon", "10"]
+    out = tmp_path / "out.json"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out), "--format", "json")
+    assert code == 0, err
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    if command == "fit":
+        assert json.loads(text)["rows"][0]["sigma_v"] is None
